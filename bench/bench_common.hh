@@ -9,7 +9,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sched.h>
 #include <string>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -214,14 +217,77 @@ finishTelemetry()
         obs::writeMetricsJson(metricsPathFor(jsonPath()));
 }
 
+/** @return the first line of @p command's stdout ("" on failure). */
+inline std::string
+firstLineOf(const std::string &command)
+{
+    std::FILE *pipe = popen(command.c_str(), "r");
+    if (!pipe)
+        return "";
+    char buf[256] = {};
+    std::string line = std::fgets(buf, sizeof(buf), pipe) ? buf : "";
+    pclose(pipe);
+    return line.substr(0, line.find('\n'));
+}
+
+/** @return the "model name" of /proc/cpuinfo ("unknown" when absent). */
+inline std::string
+cpuModelName()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        size_t colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        size_t at = line.find_first_not_of(' ', colon + 1);
+        if (at != std::string::npos)
+            return line.substr(at);
+    }
+    return "unknown";
+}
+
+/**
+ * Host stamp of a measurement: what a throughput number means depends
+ * on the cores it ran on, the CPU, the build and the source revision.
+ *
+ * @return JSON object with nproc, affinity_cpus, cpu_model,
+ *         build_type, compiler and git_sha.
+ */
+inline std::string
+hostJson()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    int64_t affinity = sched_getaffinity(0, sizeof(set), &set) == 0
+        ? CPU_COUNT(&set) : 0;
+    // Full sha, "-dirty" when the checkout has uncommitted changes.
+    std::string sha = firstLineOf(
+        std::string("git -C '") + RACEVAL_SOURCE_DIR
+        + "' describe --always --dirty --abbrev=40 2>/dev/null");
+    JsonWriter w;
+    w.beginObject()
+        .field("nproc",
+               static_cast<int64_t>(sysconf(_SC_NPROCESSORS_ONLN)))
+        .field("affinity_cpus", affinity)
+        .field("cpu_model", cpuModelName())
+        .field("build_type", RACEVAL_BUILD_TYPE)
+        .field("compiler", RACEVAL_COMPILER)
+        .field("git_sha", sha.empty() ? std::string("unknown") : sha)
+        .endObject();
+    return w.str();
+}
+
 /**
  * Write the --json blob (telemetry still finishes when --json was not
  * given; the blob itself is skipped).
  *
  * @param engine_stats engine report to embed, or nullptr.
+ * @param host_stamp embed hostJson() as "host" (throughput blobs).
  */
 inline void
-writeJson(const engine::EngineStats *engine_stats = nullptr)
+writeJson(const engine::EngineStats *engine_stats = nullptr,
+          bool host_stamp = false)
 {
     finishTelemetry();
     if (jsonPath().empty())
@@ -233,6 +299,8 @@ writeJson(const engine::EngineStats *engine_stats = nullptr)
         .field("driver", driverName())
         .field("smoke", smokeMode())
         .field("wall_seconds", wall);
+    if (host_stamp)
+        w.rawField("host", hostJson());
     w.beginObject("metrics");
     for (const auto &[name, value] : jsonMetrics())
         w.field(name.c_str(), value);

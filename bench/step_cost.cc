@@ -40,7 +40,6 @@
 #include "core/interval.hh"
 #include "core/ooo.hh"
 #include "core/params.hh"
-#include "core/replay.hh"
 #include "core/stats.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"

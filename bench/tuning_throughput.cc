@@ -10,15 +10,14 @@
  *                benchmark (the seed repo's hot path),
  *   engine/cold  the evaluation engine with empty caches: each
  *                benchmark is recorded once, every evaluation is a
- *                trace replay, same-trace tickets share config-batched
- *                lockstep stream passes, batches are deduplicated,
+ *                trace replay on its own pool item, batches are
+ *                deduplicated,
  *   engine/warm  the same engine again: the EvalCache serves the
  *                whole race.
  *
  * The three paths produce bit-identical RaceResults (checked); the
- * speedup is pure evaluation-engine machinery. A separate interleaved
- * A-B (measureLockstepWin) races the cold path with lockstep off
- * (configBatch = 1) vs on, and feeds the perf_batch_guard ctest entry.
+ * speedup is pure evaluation-engine machinery. The --json blob carries
+ * a host stamp (cores, CPU, build, compiler, git sha).
  */
 
 #include <benchmark/benchmark.h>
@@ -97,12 +96,10 @@ std::unique_ptr<engine::EvalEngine> sharedEngine;
 engine::EngineStats finalEngineStats;
 
 std::unique_ptr<engine::EvalEngine>
-makeEngine(unsigned config_batch = 0)
+makeEngine()
 {
     Task &t = task();
-    engine::EngineOptions eopts;
-    eopts.replay.configBatch = config_batch;
-    auto eng = std::make_unique<engine::EvalEngine>(false, eopts);
+    auto eng = std::make_unique<engine::EvalEngine>(false);
     for (const isa::Program &prog : t.programs)
         eng->addInstance(prog);
     eng->setModelFn([&t](const tuner::Configuration &config) {
@@ -216,57 +213,6 @@ sameRace(const tuner::RaceResult &a, const tuner::RaceResult &b)
         && a.bestCosts == b.bestCosts
         && a.experimentsUsed == b.experimentsUsed
         && a.iterations == b.iterations;
-}
-
-/** Lockstep A-B: the cold race with config-batched lockstep replay
- *  off (configBatch = 1, every fresh evaluation streams its own
- *  PackedStream pass) vs on (the default), interleaved min-of-N like
- *  the telemetry A-B so scheduler drift hits both sides equally.
- *  Feeds the perf_batch_guard ctest entry: lockstep must stay
- *  bit-identical with solo replay and must not race slower than the
- *  single-config cold path. */
-void
-measureLockstepWin()
-{
-    if (!engineCold.race)
-        return; // filtered run
-
-    Task &t = task();
-    auto race_once = [&](unsigned config_batch) {
-        auto eng = makeEngine(config_batch);
-        return timedRace([&] {
-            auto strategy = tuner::makeSearchStrategy(
-                bench::strategyName(), t.sspace.space(), *eng,
-                t.programs.size(), t.ropts);
-            strategy->addInitialCandidate(t.sspace.encode(t.base));
-            return strategy->run();
-        });
-    };
-
-    PathResult solo, lockstep;
-    bool identical = true;
-    for (int round = 0; round < 3; ++round) {
-        PathResult r = race_once(/*config_batch=*/1);
-        if (round == 0 || r.seconds < solo.seconds)
-            solo = std::move(r);
-        r = race_once(/*config_batch=*/0);
-        if (round == 0 || r.seconds < lockstep.seconds)
-            lockstep = std::move(r);
-        identical = identical && sameRace(*solo.race, *lockstep.race)
-            && sameRace(*lockstep.race, *engineCold.race);
-    }
-
-    double speedup = lockstep.seconds > 0.0
-        ? solo.seconds / lockstep.seconds : 0.0;
-    std::printf("\nlockstep A-B (cold race, min of 3): solo %.3f s, "
-                "lockstep %.3f s, %.2fx; bit-identical: %s\n",
-                solo.seconds, lockstep.seconds, speedup,
-                identical ? "yes" : "NO (BUG)");
-    bench::jsonMetric("engine_cold_solo_seconds", solo.seconds);
-    bench::jsonMetric("solo_cold_exp_per_s", rate(solo));
-    bench::jsonMetric("lockstep_cold_exp_per_s", rate(lockstep));
-    bench::jsonMetric("lockstep_speedup", speedup);
-    bench::jsonMetric("lockstep_bit_identical", identical ? 1.0 : 0.0);
 }
 
 /** Telemetry A-B: the same cold race with span recording paused vs
@@ -390,8 +336,7 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     report();
-    measureLockstepWin();
     measureTelemetryOverhead();
-    bench::writeJson(&finalEngineStats);
+    bench::writeJson(&finalEngineStats, /*host_stamp=*/true);
     return 0;
 }

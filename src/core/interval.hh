@@ -56,12 +56,11 @@ class IntervalCore : public TimingModel
      */
     CoreStats run(vm::TraceSource &source) override;
 
-    /** Packed replay (serial or chunked per the resolved plan);
+    /** Packed replay: one PackedStream pass through runSegment;
      *  bit-identical to run(TraceSource&) over the same recording. */
-    CoreStats run(const vm::PackedTrace &trace,
-                  const ReplayOptions &options) override;
+    CoreStats run(const vm::PackedTrace &trace) override;
 
-    /// @name Segment interface (chunked replay, see core/replay.hh)
+    /// @name Segment interface
     /// @{
     /** Reset machine state and start a fresh accounting run. */
     void beginRun();
@@ -70,7 +69,7 @@ class IntervalCore : public TimingModel
      * Replay up to @p max_insts instructions from @p stream
      * (vm::PackedStream or vm::SourceStream; instantiated for both).
      * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state (the BSP seam handoff).
+     * from the same state.
      *
      * @return instructions consumed.
      */
@@ -78,27 +77,11 @@ class IntervalCore : public TimingModel
     uint64_t runSegment(Stream &stream, uint64_t max_insts);
 
     /**
-     * Lockstep variant of runSegment over M per-config core states:
-     * block-cycles every core's ordinary runSegment over the same
-     * stream range (see core::runLockstepSegment), so solo and
-     * lockstep replay are bit-identical by construction. Instantiated
-     * for vm::PackedStream only (the driver records each block into a
-     * vm::DecodedEvent buffer that followers replay from).
-     * Every core must be mid-run (beginRun() called, same consumed
-     * count).
-     *
-     * @return instructions consumed.
-     */
-    template <class Stream>
-    static uint64_t runSegmentMulti(std::vector<IntervalCore> &cores,
-                                    Stream &stream, uint64_t max_insts);
-
-    /**
      * Test seam: identical contract to runSegment, but routes every
      * instruction -- including plain ALU -- through the generic step
      * body, so bit-identity of the tagged fast path is directly
      * checkable against the un-specialized accounting (instantiated
-     * for vm::PackedStream, vm::SourceStream, vm::DecodedBlockStream).
+     * for vm::PackedStream and vm::SourceStream).
      */
     template <class Stream>
     uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
@@ -124,7 +107,8 @@ class IntervalCore : public TimingModel
      * OooCore::StepState for the full rationale): the ROB ring cursor
      * wraps on increment instead of the old `seq % robEntries`
      * division, and the CoreParams fields the loop reads are copied
-     * in by resetState(). Plain members for the BSP seam handoff.
+     * in by resetState(). Plain members so a mid-run copy of the
+     * core carries them verbatim.
      */
     struct StepState
     {
@@ -150,8 +134,7 @@ class IntervalCore : public TimingModel
     void resetState();
 
     /**
-     * Per-instruction accounting, shared verbatim by runSegment (solo)
-     * and runSegmentMulti (lockstep): classify once on the
+     * Per-instruction accounting behind runSegment: classify once on the
      * precomputed 2-bit kind tag, then either take the minimal
      * plain-ALU fast path (no cache access, no predictor) or the
      * generic body. @tparam Profiled selects the step-cost-profiler

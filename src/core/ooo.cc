@@ -1,7 +1,6 @@
 #include "core/ooo.hh"
 
 #include "common/log.hh"
-#include "core/replay.hh"
 #include "obs/step_profiler.hh"
 
 namespace raceval::core
@@ -346,14 +345,6 @@ OooCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
-uint64_t
-OooCore::runSegmentMulti(std::vector<OooCore> &cores, Stream &stream,
-                         uint64_t max_insts)
-{
-    return runLockstepSegment(cores, stream, max_insts);
-}
-
 template uint64_t
 OooCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
@@ -362,10 +353,6 @@ template uint64_t OooCore::runSegmentGeneric<vm::PackedStream>(
     vm::PackedStream &, uint64_t);
 template uint64_t OooCore::runSegmentGeneric<vm::SourceStream>(
     vm::SourceStream &, uint64_t);
-template uint64_t OooCore::runSegmentGeneric<vm::DecodedBlockStream>(
-    vm::DecodedBlockStream &, uint64_t);
-template uint64_t OooCore::runSegmentMulti<vm::PackedStream>(
-    std::vector<OooCore> &, vm::PackedStream &, uint64_t);
 
 CoreStats
 OooCore::finishRun()
@@ -395,9 +382,12 @@ OooCore::run(vm::TraceSource &source)
 }
 
 CoreStats
-OooCore::run(const vm::PackedTrace &trace, const ReplayOptions &options)
+OooCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace, options);
+    beginRun();
+    vm::PackedStream stream(trace);
+    runSegment(stream, ~uint64_t{0});
+    return finishRun();
 }
 
 } // namespace raceval::core

@@ -4,7 +4,6 @@
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
-#include "core/multi_replay.hh"
 #include "core/timing_model.hh"
 #include "obs/trace.hh"
 
@@ -42,10 +41,6 @@ EngineStats::summary() const
         static_cast<double>(bank.residentBytes) / (1024.0 * 1024.0),
         static_cast<double>(bank.encodedBytes) / (1024.0 * 1024.0));
     out += strprintf(
-        "        replay: %s mode, %llu partitions\n",
-        replayMode.c_str(),
-        static_cast<unsigned long long>(partitions));
-    out += strprintf(
         "        cache: %llu hits / %llu misses (%.1f%% hit rate), "
         "%llu entries, %llu evictions\n",
         static_cast<unsigned long long>(cache.hits),
@@ -67,13 +62,6 @@ EngineStats::summary() const
         static_cast<unsigned long long>(batchSubmissions),
         static_cast<unsigned long long>(batchDeduplicated));
     out += strprintf(
-        "\n        lockstep: %llu groups (avg width %.1f), "
-        "%llu configs batched, %llu stream passes saved",
-        static_cast<unsigned long long>(lockstepGroups),
-        lockstepWidthAvg(),
-        static_cast<unsigned long long>(lockstepConfigs),
-        static_cast<unsigned long long>(streamPassesSaved));
-    out += strprintf(
         "\n        step cost: %llu insts simulated, %.1f ns/inst, "
         "%.1f simulated MIPS",
         static_cast<unsigned long long>(instsSimulated), nsPerInst(),
@@ -93,8 +81,6 @@ EngineStats::json() const
         .field("spilled_traces", bank.spilledTraces)
         .field("readmitted_traces", bank.readmittedTraces)
         .field("packed_bytes", bank.residentBytes)
-        .field("replay_mode", replayMode)
-        .field("partitions", partitions)
         .field("replays", bank.replays)
         .field("cache_hits", cache.hits)
         .field("cache_misses", cache.misses)
@@ -109,9 +95,6 @@ EngineStats::json() const
         .field("batches", batches)
         .field("batch_submitted", batchSubmissions)
         .field("batch_deduplicated", batchDeduplicated)
-        .field("lockstep_groups", lockstepGroups)
-        .field("lockstep_width_avg", lockstepWidthAvg())
-        .field("stream_passes_saved", streamPassesSaved)
         .field("insts_simulated", instsSimulated)
         .field("ns_per_inst", nsPerInst())
         .field("simulated_mips", simulatedMips())
@@ -145,9 +128,6 @@ EngineStats::samples() const
         {"batches", n(batches)},
         {"batch_submitted", n(batchSubmissions)},
         {"batch_deduplicated", n(batchDeduplicated)},
-        {"lockstep_groups", n(lockstepGroups)},
-        {"lockstep_width_avg", lockstepWidthAvg()},
-        {"stream_passes_saved", n(streamPassesSaved)},
         {"insts_simulated", n(instsSimulated)},
         {"ns_per_inst", nsPerInst()},
         {"simulated_mips", simulatedMips()},
@@ -157,7 +137,7 @@ EngineStats::samples() const
 // ------------------------------------------------------------ EvalEngine
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
-    : fam(family), opts(options),
+    : fam(family),
       bank(options.memoryResidentMaxInsts, options.residencyBudgetInsts),
       cache(options.cacheShards, options.cacheMaxEntriesPerShard),
       pool(options.threads)
@@ -227,11 +207,10 @@ EvalEngine::replayRun(core::ModelFamily family,
 {
     // The hot path: replay the packed SoA form through the templated
     // segment loops. Spilled traces fall back to the generic cursor.
+    RV_SPAN("replay.run", static_cast<uint64_t>(instance));
     if (std::shared_ptr<const vm::PackedTrace> packed =
-            bank.packed(instance)) {
-        return core::makeTimingModel(family, model)
-            ->run(*packed, opts.replay);
-    }
+            bank.packed(instance))
+        return core::makeTimingModel(family, model)->run(*packed);
     std::unique_ptr<vm::TraceSource> source = bank.open(instance);
     return core::makeTimingModel(family, model)->run(*source);
 }
@@ -306,6 +285,18 @@ EvalEngine::chargeWall(std::chrono::steady_clock::time_point start)
     evalNanos += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
+}
+
+void
+EvalEngine::recordAhead()
+{
+    size_t from = recordedAhead.load();
+    size_t to = bank.size();
+    if (from >= to)
+        return;
+    pool.parallelFor(to - from,
+                     [&](size_t k) { bank.instCount(from + k); });
+    recordedAhead.store(to);
 }
 
 void
@@ -472,21 +463,12 @@ EvalEngine::stats() const
     EngineStats out;
     out.bank = bank.stats();
     out.cache = cache.stats();
-    out.replayMode = core::replayModeName(opts.replay.mode);
-    // Uncapped request (a huge trace would get this many chunks); the
-    // per-trace plan still degrades to serial below the threshold.
-    out.partitions =
-        core::resolveReplayPlan(~uint64_t{0} >> 1, opts.replay)
-            .partitions;
     out.requests = requests.load();
     out.evaluations = evaluations.load();
     out.warmFileHits = warmFileHitCount.load();
     out.batches = batches.load();
     out.batchSubmissions = batchSubmissions.load();
     out.batchDeduplicated = batchDeduplicated.load();
-    out.lockstepGroups = lockstepGroupCount.load();
-    out.lockstepConfigs = lockstepConfigCount.load();
-    out.streamPassesSaved = streamPassesSavedCount.load();
     out.instsSimulated = instsSimulatedCount.load();
     out.evalSeconds = static_cast<double>(evalNanos.load()) / 1e9;
     return out;
@@ -547,49 +529,12 @@ BatchEvaluator::submitModel(core::ModelFamily family,
 }
 
 void
-BatchEvaluator::runSolo(Slot &slot)
+BatchEvaluator::runSlot(Slot &slot)
 {
     slot.value = engine.computeFresh(slot.family, slot.model,
                                      slot.instance, slot.domain);
     engine.cache.insert(slot.key, slot.value);
     slot.served = true;
-}
-
-void
-BatchEvaluator::runLockstepGroup(const std::vector<size_t> &pending,
-                                 const core::LockstepGroup &group)
-{
-    const Slot &first = slots[pending[group.members.front()]];
-    // Fetch the packed trace inside the work item (recording it here
-    // on first use, like the solo path); a spilled trace cannot share
-    // a stream pass, so its members fall back to solo replay.
-    std::shared_ptr<const vm::PackedTrace> packed =
-        engine.bank.packed(first.instance);
-    if (!packed) {
-        for (size_t m : group.members)
-            runSolo(slots[pending[m]]);
-        return;
-    }
-
-    std::vector<core::CoreParams> configs;
-    configs.reserve(group.members.size());
-    for (size_t m : group.members)
-        configs.push_back(slots[pending[m]].model);
-    std::vector<core::CoreStats> runs = core::runPackedTraceMultiFamily(
-        first.family, configs, *packed, engine.opts.replay);
-    uint64_t insts = 0;
-    for (size_t i = 0; i < group.members.size(); ++i) {
-        Slot &slot = slots[pending[group.members[i]]];
-        slot.value =
-            engine.scoreRun(runs[i], slot.instance, slot.domain);
-        engine.cache.insert(slot.key, slot.value);
-        slot.served = true;
-        insts += runs[i].instructions;
-    }
-    engine.instsSimulatedCount += insts;
-    ++engine.lockstepGroupCount;
-    engine.lockstepConfigCount += group.members.size();
-    engine.streamPassesSavedCount += group.members.size() - 1;
 }
 
 void
@@ -608,48 +553,22 @@ BatchEvaluator::collect()
         // experimentsPerSecond() reports real throughput rather than
         // summed per-thread time.
         auto start = std::chrono::steady_clock::now();
-
-        // Warm-file pre-pass: mapped-file answers never reach the
-        // lockstep planner (mirrors computeFresh's lookup order).
+        // Mapped warm-file answers first: they need no trace.
         std::vector<size_t> pending;
-        pending.reserve(fresh.size());
         for (size_t s : fresh) {
             Slot &slot = slots[s];
-            if (engine.warmLookup(slot.family, slot.model,
-                                  slot.instance, slot.domain,
-                                  slot.value)) {
+            if (engine.warmLookup(slot.family, slot.model, slot.instance,
+                                  slot.domain, slot.value)) {
                 engine.cache.insert(slot.key, slot.value);
                 slot.served = true;
             } else {
                 pending.push_back(s);
             }
         }
-
-        // Plan config-batched lockstep groups: slots of the same
-        // (family, instance) share one PackedStream pass, leftovers
-        // keep the solo path. One group (or singleton) = one pool
-        // work item.
-        std::vector<core::LockstepCandidate> candidates;
-        candidates.reserve(pending.size());
-        for (size_t s : pending) {
-            const Slot &slot = slots[s];
-            candidates.push_back(core::LockstepCandidate{
-                Fingerprinter::mix64(
-                    static_cast<uint64_t>(slot.family)
-                    ^ Fingerprinter::mix64(slot.instance)),
-                core::approxLockstepStateBytes(slot.family,
-                                               slot.model)});
-        }
-        core::LockstepPlan plan = core::planLockstepGroups(
-            candidates, engine.opts.replay);
-
-        size_t items = plan.groups.size() + plan.singles.size();
-        engine.pool.parallelFor(items, [&](size_t k) {
-            if (k < plan.groups.size())
-                runLockstepGroup(pending, plan.groups[k]);
-            else
-                runSolo(slots[pending[
-                    plan.singles[k - plan.groups.size()]]]);
+        if (!pending.empty())
+            engine.recordAhead();
+        engine.pool.parallelFor(pending.size(), [&](size_t k) {
+            runSlot(slots[pending[k]]);
         });
         engine.chargeWall(start);
         RV_HISTOGRAM_RECORD(

@@ -41,11 +41,6 @@
 #include "engine/trace_bank.hh"
 #include "tuner/evaluator.hh"
 
-namespace raceval::core
-{
-struct LockstepGroup;
-}
-
 namespace raceval::engine
 {
 
@@ -62,8 +57,6 @@ struct EngineOptions
     size_t cacheShards = 8;
     /** Per-shard entry cap (0 = unbounded). */
     size_t cacheMaxEntriesPerShard = 0;
-    /** Replay plan for every packed replay (mode, partitions). */
-    core::ReplayOptions replay;
 };
 
 /** Aggregate engine report, surfaced by the drivers. */
@@ -71,25 +64,12 @@ struct EngineStats
 {
     TraceBankStats bank;
     EvalCacheStats cache;
-    /** Active replay mode name (see core::replayModeName). */
-    std::string replayMode;
-    /** Partitions the replay plan asks for before the per-trace
-     *  length cap (1 = serial). */
-    uint64_t partitions = 1;
     uint64_t requests = 0;    //!< evaluation requests served
     uint64_t evaluations = 0; //!< fresh simulations actually run
     uint64_t warmFileHits = 0; //!< evals served by the mapped warm file
     uint64_t batches = 0;     //!< collected batches
     uint64_t batchSubmissions = 0; //!< tickets submitted to batches
     uint64_t batchDeduplicated = 0; //!< tickets folded into another
-    /** Lockstep replay groups run (config-batched stream passes; see
-     *  core/multi_replay.hh). */
-    uint64_t lockstepGroups = 0;
-    /** Fresh evaluations served through lockstep groups. */
-    uint64_t lockstepConfigs = 0;
-    /** PackedStream traversals avoided by lockstep batching: each
-     *  group of width M decodes the trace once instead of M times. */
-    uint64_t streamPassesSaved = 0;
     /** Dynamic instructions stepped by fresh simulations (cache and
      *  warm-file hits replay nothing and add nothing). */
     uint64_t instsSimulated = 0;
@@ -122,16 +102,6 @@ struct EngineStats
     {
         return evalSeconds > 0.0
             ? static_cast<double>(instsSimulated) / evalSeconds / 1e6
-            : 0.0;
-    }
-
-    /** @return mean configs per lockstep group (0 when none ran). */
-    double
-    lockstepWidthAvg() const
-    {
-        return lockstepGroups
-            ? static_cast<double>(lockstepConfigs)
-                / static_cast<double>(lockstepGroups)
             : 0.0;
     }
 
@@ -405,8 +375,7 @@ class EvalEngine : public tuner::CostEvaluator
     core::CoreParams materialize(const tuner::Configuration &config)
         const;
     /** Record-replay-score one experiment; consults the mapped warm
-     *  file first. Timing models run only here and in the lockstep
-     *  group path (BatchEvaluator::collect). */
+     *  file first. */
     EvalValue computeFresh(core::ModelFamily family,
                            const core::CoreParams &model,
                            size_t instance, size_t domain);
@@ -422,9 +391,15 @@ class EvalEngine : public tuner::CostEvaluator
     uint64_t programFingerprint(size_t instance) const;
     /** Add wall time since @p start to the evaluation clock. */
     void chargeWall(std::chrono::steady_clock::time_point start);
+    /**
+     * Record every registered instance not yet recorded (held-out ones
+     * included), in parallel over the pool. A racing step replays one
+     * instance, so recording it inside the step would leave all
+     * workers but one waiting. Cheap once nothing new is registered.
+     */
+    void recordAhead();
 
     core::ModelFamily fam;
-    EngineOptions opts;
     TraceBank bank;
     EvalCache cache;
     ThreadPool pool;
@@ -455,10 +430,9 @@ class EvalEngine : public tuner::CostEvaluator
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> batchSubmissions{0};
     std::atomic<uint64_t> batchDeduplicated{0};
-    std::atomic<uint64_t> lockstepGroupCount{0};
-    std::atomic<uint64_t> lockstepConfigCount{0};
-    std::atomic<uint64_t> streamPassesSavedCount{0};
     std::atomic<uint64_t> instsSimulatedCount{0};
+    /** Instances [0, n) are known recorded (see recordAhead). */
+    std::atomic<size_t> recordedAhead{0};
     std::atomic<uint64_t> evalNanos{0};
 
     /** Registry pull source exporting stats() (released before the
@@ -470,13 +444,11 @@ class EvalEngine : public tuner::CostEvaluator
  * Asynchronous submit/collect over the engine.
  *
  * submit() is cheap and deduplicating: identical keys in one batch
- * share a single slot (and a single simulation). collect() plans the
- * fresh slots into config-batched lockstep groups (slots of the same
- * (family, instance) share ONE PackedStream pass; see
- * core/multi_replay.hh), then runs one work item per group plus one
- * per leftover singleton over the engine's thread pool and fills the
- * cache; afterwards cost()/simCpi() answer by ticket. Cached and
- * warm-file-served slots never join a lockstep group.
+ * share a single slot (and a single simulation). collect() runs every
+ * fresh slot as its own work item over the engine's thread pool and
+ * fills the cache; afterwards cost()/simCpi() answer by ticket. A
+ * racing step submits many candidates against one instance, so one
+ * item per evaluation is what spreads the step over every worker.
  */
 class BatchEvaluator
 {
@@ -534,14 +506,8 @@ class BatchEvaluator
         bool served = false; //!< filled from cache at submit time
     };
 
-    /** Solo-replay one fresh slot (the singleton path). */
-    void runSolo(Slot &slot);
-    /** Run one planned lockstep group over a single stream pass (solo
-     *  fallback per member when the trace is spilled); serves and
-     *  caches every member slot. @p pending maps planner candidate
-     *  indices back to slot indices. */
-    void runLockstepGroup(const std::vector<size_t> &pending,
-                          const core::LockstepGroup &group);
+    /** Evaluate one fresh slot and cache its value. */
+    void runSlot(Slot &slot);
 
     EvalEngine &engine;
     std::vector<size_t> tickets; //!< ticket -> slot index

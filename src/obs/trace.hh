@@ -21,8 +21,8 @@
  * taxonomy): "<subsystem>.<operation>", lowercase, static string
  * literals only -- the ring stores the pointer, not a copy. Current
  * spans: race.run / race.iteration / race.step, engine.batch /
- * engine.eval, replay.chunk, replay.lockstep, bank.record, cache.save
- * / cache.load / cache.map, campaign.task / campaign.checkpoint;
+ * engine.eval, replay.run, bank.record, cache.save / cache.load /
+ * cache.map, campaign.task / campaign.checkpoint;
  * instants: bank.spill / bank.admit / bank.readmit / heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.

@@ -106,8 +106,7 @@ class PackedTrace
     const isa::DecodedInst &decodedAt(size_t i) const { return decoded[i]; }
 
     /** @return the packed replay row of static instruction word i (the
-     *  8-byte view the segment loops read; DecodedBlockStream rebuilds
-     *  its accessors from this plus a recorded DecodedEvent). */
+     *  8-byte view the segment loops read). */
     const PackedStatic &staticRow(size_t i) const { return statics[i]; }
 
     /** @return bytes held by the packed replay arrays (the stream the
@@ -255,142 +254,6 @@ class PackedStream
     size_t brPos = 0; //!< branch events consumed (bit position)
     size_t tgtPos = 0;
     size_t tgtWidePos = 0;
-    const PackedStatic *row = nullptr;
-};
-
-/**
- * One fully decoded dynamic instruction, as captured by a
- * RecordingStream: everything a replay needs that is *not* already in
- * the PackedStatic row of the instruction. 16 bytes so a whole
- * lockstep block of events streams through cache.
- *
- * Static indices fit 31 bits by construction (program code is a few
- * KiB); bit 31 of idx carries the branch-taken flag.
- */
-struct DecodedEvent
-{
-    static constexpr uint32_t takenBit = 1u << 31;
-
-    uint32_t idx = 0;     //!< static index | takenBit when taken
-    uint32_t nextIdx = 0; //!< static index of the executed successor
-    uint64_t memAddr = 0; //!< memAddr() value (stale-value semantics
-                          //!< of PackedStream preserved verbatim)
-};
-
-static_assert(sizeof(DecodedEvent) == 16,
-              "DecodedEvent must stay 16 bytes");
-
-/**
- * PackedStream wrapper that appends one DecodedEvent per next() to a
- * caller-owned buffer while forwarding every accessor unchanged. The
- * lockstep lead core replays through this; follower cores then replay
- * the identical block through a DecodedBlockStream without paying the
- * delta/bitfield decode again (see core::runLockstepSegment).
- */
-class RecordingStream
-{
-  public:
-    RecordingStream(PackedStream &stream, std::vector<DecodedEvent> &buf)
-        : ps(&stream), out(&buf),
-          base(stream.trace().program().codeBase)
-    {
-    }
-
-    bool
-    next()
-    {
-        if (!ps->next())
-            return false;
-        out->push_back(DecodedEvent{
-            static_cast<uint32_t>(ps->staticIndex())
-                | (ps->taken() ? DecodedEvent::takenBit : 0u),
-            static_cast<uint32_t>((ps->nextPc() - base) / 4),
-            ps->memAddr()});
-        return true;
-    }
-
-    uint64_t pc() const { return ps->pc(); }
-    isa::OpClass cls() const { return ps->cls(); }
-    unsigned srcCount() const { return ps->srcCount(); }
-    uint8_t srcReg(unsigned i) const { return ps->srcReg(i); }
-    bool hasDst() const { return ps->hasDst(); }
-    uint8_t dstReg() const { return ps->dstReg(); }
-    unsigned memSize() const { return ps->memSize(); }
-    bool isBranch() const { return ps->isBranch(); }
-    isa::OpKind kind() const { return ps->kind(); }
-    uint64_t memAddr() const { return ps->memAddr(); }
-    bool taken() const { return ps->taken(); }
-    uint64_t nextPc() const { return ps->nextPc(); }
-
-  private:
-    PackedStream *ps;
-    std::vector<DecodedEvent> *out;
-    uint64_t base;
-};
-
-/**
- * Replay view over a buffer of recorded DecodedEvents: per-static
- * fields come from the trace's PackedStatic rows, per-dynamic fields
- * (taken bit, successor, memory address) from the events. next() is a
- * bump-and-load -- no delta reconstruction, no bitfield extraction --
- * which is what lockstep follower cores save relative to walking the
- * PackedStream again. Accessor values are bit-identical to the
- * PackedStream the events were recorded from, including the
- * unspecified-when-flag-unset stale values (recorded verbatim).
- */
-class DecodedBlockStream
-{
-  public:
-    DecodedBlockStream(const PackedTrace &trace,
-                       const std::vector<DecodedEvent> &buf)
-        : t(&trace), events(buf.data()), count(buf.size()),
-          base(trace.program().codeBase)
-    {
-    }
-
-    bool
-    next()
-    {
-        if (pos >= count)
-            return false;
-        e = events[pos++];
-        row = &t->staticRow(e.idx & ~DecodedEvent::takenBit);
-        return true;
-    }
-
-    uint64_t
-    pc() const
-    {
-        return base + 4 * (e.idx & ~DecodedEvent::takenBit);
-    }
-    isa::OpClass cls() const
-    {
-        return static_cast<isa::OpClass>(row->cls);
-    }
-    unsigned srcCount() const { return row->numSrcs; }
-    uint8_t srcReg(unsigned i) const { return row->src[i]; }
-    bool hasDst() const { return row->flags & PackedTrace::flagHasDst; }
-    uint8_t dstReg() const { return row->dst; }
-    unsigned memSize() const { return row->memSize; }
-    bool isBranch() const { return row->flags & PackedTrace::flagBranch; }
-    isa::OpKind
-    kind() const
-    {
-        return static_cast<isa::OpKind>(
-            (row->flags >> PackedTrace::flagKindShift)
-            & PackedTrace::flagKindMask);
-    }
-    uint64_t memAddr() const { return e.memAddr; }
-    bool taken() const { return e.idx & DecodedEvent::takenBit; }
-    uint64_t nextPc() const { return base + 4 * e.nextIdx; }
-
-  private:
-    const PackedTrace *t;
-    const DecodedEvent *events;
-    size_t count;
-    uint64_t base;
-    size_t pos = 0;
-    DecodedEvent e{};
     const PackedStatic *row = nullptr;
 };
 

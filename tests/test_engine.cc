@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "common/log.hh"
 #include "core/inorder.hh"
@@ -543,3 +548,136 @@ TEST(Engine, EveryStrategyBitIdenticalLiveVsEngineColdVsWarm)
 }
 
 } // namespace
+
+// ------------------------------------------------------ batch dispatch
+
+namespace
+{
+
+const core::ModelFamily allFamilies[] = {core::ModelFamily::InOrder,
+                                         core::ModelFamily::Ooo,
+                                         core::ModelFamily::Interval};
+
+/** A distinct-but-valid candidate per index: the knobs vary enough that
+ *  every candidate of a batch takes different timing paths (predictor
+ *  geometry, window, cache size, penalties). */
+core::CoreParams
+variantConfig(unsigned i)
+{
+    core::CoreParams p = core::publicInfoA53();
+    p.mispredictPenalty = 6 + (i % 5);
+    p.robEntries = 64 + 16 * (i % 4);
+    p.storeBufferEntries = 2 + (i % 4);
+    p.bp.tableBits = 10 + (i % 3);
+    p.mem.l1d.sizeBytes = (16ull << 10) << (i % 2);
+    return p;
+}
+
+/** Require every counter of two runs to match exactly. */
+void
+expectSameStats(const core::CoreStats &a, const core::CoreStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.branch.branches, b.branch.branches) << what;
+    EXPECT_EQ(a.branch.mispredicts, b.branch.mispredicts) << what;
+    EXPECT_EQ(a.branch.directionMispredicts,
+              b.branch.directionMispredicts) << what;
+    EXPECT_EQ(a.branch.targetMispredicts, b.branch.targetMispredicts)
+        << what;
+    EXPECT_EQ(a.l1iMisses, b.l1iMisses) << what;
+    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses) << what;
+    EXPECT_EQ(a.l1dMisses, b.l1dMisses) << what;
+    EXPECT_EQ(a.l2Misses, b.l2Misses) << what;
+    EXPECT_EQ(a.dramReads, b.dramReads) << what;
+}
+
+} // namespace
+
+// A racing step is many fresh candidates against ONE instance. A batch
+// of that shape must hand every candidate's cost function exactly the
+// CoreStats a direct replayRun produces, on a packed and on a spilled
+// trace, for every family. Each candidate scores through its own cost
+// domain, which records the stats it was given.
+TEST(BatchDispatch, FreshStepOnOneInstanceMatchesReplayRun)
+{
+    constexpr unsigned width = 12;
+    isa::Program prog = smallProgram("CCh", 6007);
+    for (bool spilled : {false, true}) {
+        EngineOptions eopts;
+        eopts.threads = 4;
+        if (spilled)
+            eopts.memoryResidentMaxInsts = 16;
+        for (core::ModelFamily family : allFamilies) {
+            std::string what = std::string(core::modelFamilyName(family))
+                + (spilled ? "/spilled" : "/packed");
+            EvalEngine engine(family, eopts);
+            size_t id = engine.addInstance(prog);
+            std::vector<core::CoreStats> seen(width);
+            BatchEvaluator batch(engine);
+            for (unsigned i = 0; i < width; ++i) {
+                size_t domain = engine.addCostDomain(
+                    [&seen, i](const core::CoreStats &stats, size_t) {
+                        seen[i] = stats;
+                        return stats.cpi();
+                    },
+                    /*cost_tag=*/100 + i);
+                batch.submitModel(family, variantConfig(i), id, domain);
+            }
+            batch.collect();
+
+            EngineStats stats = engine.stats();
+            EXPECT_EQ(stats.evaluations, width) << what;
+            EXPECT_EQ(stats.bank.spilledTraces, spilled ? 1u : 0u) << what;
+            for (unsigned i = 0; i < width; ++i) {
+                expectSameStats(
+                    engine.replayRun(family, variantConfig(i), id),
+                    seen[i], what + " config " + std::to_string(i));
+            }
+        }
+    }
+}
+
+// Every fresh evaluation of a batch is its own pool item, so a
+// one-instance batch of 16 on a 4-thread engine reaches all 4 workers.
+// The cost function holds each worker until 4 distinct threads have
+// entered (or a timeout passes); a dispatch that packs the batch into
+// fewer items than workers never gets there.
+TEST(BatchDispatch, FreshStepOccupiesEveryWorker)
+{
+    constexpr size_t threads = 4;
+    for (core::ModelFamily family : allFamilies) {
+        EngineOptions eopts;
+        eopts.threads = threads;
+        EvalEngine engine(family, eopts);
+        size_t id = engine.addInstance(smallProgram("MC", 3001));
+
+        std::mutex mutex;
+        std::condition_variable entered;
+        std::set<std::thread::id> workers;
+        bool timed_out = false;
+        engine.setCostFn(
+            [&](const core::CoreStats &stats, size_t) {
+                std::unique_lock<std::mutex> lock(mutex);
+                workers.insert(std::this_thread::get_id());
+                entered.notify_all();
+                if (!entered.wait_for(lock, std::chrono::seconds(10), [&] {
+                        return workers.size() >= threads || timed_out;
+                    }))
+                    timed_out = true;
+                return stats.cpi();
+            },
+            /*cost_tag=*/1);
+
+        BatchEvaluator batch(engine);
+        for (unsigned i = 0; i < 16; ++i)
+            batch.submitModel(family, variantConfig(i), id);
+        batch.collect();
+
+        EXPECT_EQ(engine.stats().evaluations, 16u);
+        EXPECT_EQ(workers.size(), threads)
+            << core::modelFamilyName(family);
+        EXPECT_FALSE(timed_out) << core::modelFamilyName(family);
+    }
+}

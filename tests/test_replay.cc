@@ -1,6 +1,6 @@
-/** @file Packed-replay determinism tests: the bit-identity contract of
- *  chunked (BSP seam-handoff) replay vs serial replay for every timing
- *  family, the serial fallback for short traces, TraceBank residency
+/** @file Packed-replay determinism tests: packed replay vs the generic
+ *  TraceSource run for every timing family, mid-run copy/resume of the
+ *  segment interface, the classify-once dispatch, TraceBank residency
  *  re-admission, and the v3 (sorted, mmap-able) EvalCache file format. */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/inorder.hh"
 #include "core/interval.hh"
 #include "core/ooo.hh"
-#include "core/replay.hh"
 #include "core/timing_model.hh"
 #include "engine/engine.hh"
 #include "engine/eval_cache.hh"
@@ -25,8 +24,6 @@
 
 using namespace raceval;
 using core::ModelFamily;
-using core::ReplayMode;
-using core::ReplayOptions;
 
 namespace
 {
@@ -71,132 +68,18 @@ const ModelFamily allFamilies[] = {ModelFamily::InOrder,
                                    ModelFamily::Interval};
 
 core::CoreStats
-runPlanned(ModelFamily family, const core::CoreParams &params,
-           const vm::PackedTrace &trace, const ReplayOptions &opts)
+runPacked(ModelFamily family, const core::CoreParams &params,
+          const vm::PackedTrace &trace)
 {
-    return core::makeTimingModel(family, params)->run(trace, opts);
+    return core::makeTimingModel(family, params)->run(trace);
 }
 
 } // namespace
 
-// ------------------------------------------------------------ ReplayPlan
-
-TEST(ReplayPlan, SerialModeAlwaysOneChunk)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Serial;
-    opts.partitions = 64;
-    opts.minPartitionInsts = 1;
-    EXPECT_EQ(core::resolveReplayPlan(1'000'000, opts).partitions, 1u);
-    EXPECT_FALSE(core::resolveReplayPlan(1'000'000, opts).chunked());
-}
-
-TEST(ReplayPlan, ShortTracesFallBackToSerialSilently)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 8;
-    opts.minPartitionInsts = 1 << 16;
-    // Shorter than one minimum chunk: one partition, no matter what
-    // was requested.
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 1u);
-    EXPECT_EQ(core::resolveReplayPlan((1 << 16) - 1, opts).partitions,
-              1u);
-    // Exactly two minimum chunks: at most two partitions.
-    EXPECT_EQ(core::resolveReplayPlan(2ull << 16, opts).partitions, 2u);
-}
-
-TEST(ReplayPlan, CapsAtMinimumChunkSize)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 64;
-    opts.minPartitionInsts = 10;
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 10u);
-    opts.partitions = 4;
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 4u);
-}
-
-TEST(ReplayPlan, ZeroPartitionsConsultsHardware)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 0;
-    opts.minPartitionInsts = 1;
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    EXPECT_EQ(core::resolveReplayPlan(1ull << 40, opts).partitions, hw);
-}
-
 // ---------------------------------------------------------- bit-identity
 
-// The tentpole contract: chunked replay is bit-identical to serial
-// replay for every family at every partition count, because each seam
-// hands the complete micro-architectural state across.
-TEST(PackedReplay, ChunkedBitIdenticalToSerialAllFamilies)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("CCh");
-    vm::PackedTrace trace = packProgram(prog);
-
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const unsigned partition_counts[] = {1, 2, 7, hw};
-
-    for (ModelFamily family : allFamilies) {
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
-        core::CoreStats reference =
-            runPlanned(family, params, trace, serial);
-        for (unsigned partitions : partition_counts) {
-            ReplayOptions chunked;
-            chunked.mode = ReplayMode::Chunked;
-            chunked.partitions = partitions;
-            chunked.minPartitionInsts = 1;
-            core::CoreStats stats =
-                runPlanned(family, params, trace, chunked);
-            expectBitIdentical(
-                reference, stats,
-                std::string(core::modelFamilyName(family)) + " x "
-                    + std::to_string(partitions) + " partitions");
-        }
-    }
-}
-
-// Seam positions must be safe wherever they land: partition counts
-// that do not divide the trace put seams mid-pattern in branch-heavy
-// and memory-striding ubenchs (delta chains and predictor state
-// straddle the seam).
-TEST(PackedReplay, SeamStraddlingBranchAndMemPatterns)
-{
-    core::CoreParams params = core::publicInfoA53();
-    const char *benches[] = {"CCh", "CRd", "MC", "MCS"};
-    for (const char *name : benches) {
-        const ubench::UbenchInfo *info = ubench::find(name);
-        if (!info)
-            continue; // suite membership varies; cover what exists
-        isa::Program prog = info->builder(9973, true); // prime length
-        vm::PackedTrace trace = packProgram(prog);
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
-        ReplayOptions chunked;
-        chunked.mode = ReplayMode::Chunked;
-        chunked.partitions = 7;
-        chunked.minPartitionInsts = 1;
-        for (ModelFamily family : allFamilies) {
-            expectBitIdentical(
-                runPlanned(family, params, trace, serial),
-                runPlanned(family, params, trace, chunked),
-                std::string(name) + " / "
-                    + core::modelFamilyName(family));
-        }
-    }
-}
-
-// The packed serial path must agree with the generic TraceSource run
-// over the same recording (the duck-typed streams share one loop).
+// The packed path must agree with the generic TraceSource run over the
+// same recording (the duck-typed streams share one loop).
 TEST(PackedReplay, PackedSerialMatchesSourceRun)
 {
     core::CoreParams params = core::publicInfoA53();
@@ -206,15 +89,12 @@ TEST(PackedReplay, PackedSerialMatchesSourceRun)
         vm::FunctionalCore live(prog);
         core::CoreStats from_source =
             core::makeTimingModel(family, params)->run(live);
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
-        expectBitIdentical(from_source,
-                           runPlanned(family, params, trace, serial),
+        expectBitIdentical(from_source, runPacked(family, params, trace),
                            core::modelFamilyName(family));
     }
 }
 
-// Drive the seam API directly (beginRun / runSegment / copy /
+// Drive the segment API directly (beginRun / runSegment / copy /
 // finishRun) at a deliberately awkward split, catching any state a
 // family's copy constructor forgets to carry.
 template <class Model>
@@ -222,11 +102,7 @@ static void
 directSeamCheck(const core::CoreParams &params,
                 const vm::PackedTrace &trace, const char *what)
 {
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
-    Model reference(params);
-    core::CoreStats want =
-        core::runPackedTrace(reference, trace, serial);
+    core::CoreStats want = Model(params).run(trace);
 
     Model first(params);
     first.beginRun();
@@ -248,28 +124,6 @@ TEST(PackedReplay, DirectSeamHandoffMatchesSerial)
     directSeamCheck<core::IntervalCore>(params, trace, "interval");
 }
 
-// Short traces silently run serial through the full run() entry point
-// (no chunking machinery below the threshold), and still match.
-TEST(PackedReplay, ShortTraceRunsSerialThroughRunEntry)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("MC", 500);
-    vm::PackedTrace trace = packProgram(prog);
-    ReplayOptions chunked;
-    chunked.mode = ReplayMode::Chunked;
-    chunked.partitions = 8; // ignored: 500 insts < one minimum chunk
-    ASSERT_EQ(core::resolveReplayPlan(trace.instCount(), chunked)
-                  .partitions,
-              1u);
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
-    for (ModelFamily family : allFamilies) {
-        expectBitIdentical(runPlanned(family, params, trace, serial),
-                           runPlanned(family, params, trace, chunked),
-                           core::modelFamilyName(family));
-    }
-}
-
 // ---------------------------------------- classify-once dispatch identity
 
 namespace
@@ -287,10 +141,7 @@ fastVsGenericCheck(const core::CoreParams &params,
                    const isa::Program &prog,
                    const vm::PackedTrace &trace, const std::string &what)
 {
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
-    Model fast(params);
-    core::CoreStats want = core::runPackedTrace(fast, trace, serial);
+    core::CoreStats want = Model(params).run(trace);
 
     {
         Model m(params);
@@ -310,30 +161,8 @@ fastVsGenericCheck(const core::CoreParams &params,
                            what + " generic/source");
     }
     {
-        // The lockstep follower view: record the whole trace into
-        // DecodedEvents, then replay it generically from the buffer.
-        std::vector<vm::DecodedEvent> events;
-        vm::PackedStream ps(trace);
-        vm::RecordingStream rec(ps, events);
-        while (rec.next()) {
-        }
-        Model m(params);
-        m.beginRun();
-        vm::DecodedBlockStream s(trace, events);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
-                           what + " generic/decoded-block");
-    }
-    {
-        // Generic segments with seam handoffs (copy mid-run) must
-        // agree with the fast chunked entry point.
-        ReplayOptions chunked;
-        chunked.mode = ReplayMode::Chunked;
-        chunked.partitions = 7;
-        chunked.minPartitionInsts = 1;
-        Model fast_model(params);
-        core::CoreStats fast_chunked =
-            core::runPackedTrace(fast_model, trace, chunked);
+        // Generic segments with mid-run copies must agree with the
+        // fast single-pass entry point.
         Model a(params);
         a.beginRun();
         vm::PackedStream s(trace);
@@ -343,8 +172,8 @@ fastVsGenericCheck(const core::CoreParams &params,
         b.runSegmentGeneric(s, split);
         Model c(b);
         c.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(fast_chunked, c.finishRun(),
-                           what + " generic seams vs fast chunked");
+        expectBitIdentical(want, c.finishRun(),
+                           what + " generic copies vs fast");
     }
 }
 

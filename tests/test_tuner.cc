@@ -240,8 +240,9 @@ TEST(StrategyRegistry, BuiltinsRegisteredWithDistinctSalts)
         EXPECT_NE(info->make, nullptr);
         EXPECT_EQ(searchStrategySalt(name), info->fingerprintSalt);
         for (const SearchStrategyInfo &other : registry.all()) {
-            if (std::string(other.name) != name)
+            if (std::string(other.name) != name) {
                 EXPECT_NE(other.fingerprintSalt, info->fingerprintSalt);
+            }
         }
     }
     EXPECT_EQ(registry.find("no-such-strategy"), nullptr);
