@@ -283,11 +283,9 @@ hostJson()
  * given; the blob itself is skipped).
  *
  * @param engine_stats engine report to embed, or nullptr.
- * @param host_stamp embed hostJson() as "host" (throughput blobs).
  */
 inline void
-writeJson(const engine::EngineStats *engine_stats = nullptr,
-          bool host_stamp = false)
+writeJson(const engine::EngineStats *engine_stats = nullptr)
 {
     finishTelemetry();
     if (jsonPath().empty())
@@ -298,9 +296,8 @@ writeJson(const engine::EngineStats *engine_stats = nullptr,
     w.beginObject()
         .field("driver", driverName())
         .field("smoke", smokeMode())
-        .field("wall_seconds", wall);
-    if (host_stamp)
-        w.rawField("host", hostJson());
+        .field("wall_seconds", wall)
+        .rawField("host", hostJson());
     w.beginObject("metrics");
     for (const auto &[name, value] : jsonMetrics())
         w.field(name.c_str(), value);

@@ -83,15 +83,13 @@ void
 BM_AbstractInOrderReplay(benchmark::State &state)
 {
     // The engine's hot path: the same timing model fed by a recorded
-    // trace instead of live functional execution.
+    // packed trace instead of live functional execution.
     core::InOrderCore sim(core::publicInfoA53());
     size_t id = bank().add(trace());
     uint64_t insts = 0;
     auto start = std::chrono::steady_clock::now();
-    for (auto _ : state) {
-        auto source = bank().open(id);
-        insts += sim.run(*source).instructions;
-    }
+    for (auto _ : state)
+        insts += sim.run(*bank().packed(id)).instructions;
     replayInOrderMips = mips(insts, std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count());
     state.counters["MIPS"] = benchmark::Counter(

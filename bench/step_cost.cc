@@ -6,9 +6,10 @@
  *
  * Three pillars, all over the same packed traces:
  *
- *   - ns/inst of the library fast path (classify-once dispatch +
- *     modulo-free cursors) for every family x {ALU-heavy, memory,
- *     branchy} workload, interleaved min-of-N;
+ *   - ns/inst of the library step for every family x {ALU-heavy,
+ *     memory, branchy} workload, interleaved min-of-N. The in-order
+ *     and interval families classify once and take a plain-ALU fast
+ *     path; the OoO family runs one step body for every kind;
  *   - an A-B against a bench-local frozen copy of the pre-flattening
  *     OoO step (per-instruction OpClass tests + `seq % ring.size()`
  *     indexing everywhere), the family with the most modulo sites.
@@ -16,9 +17,10 @@
  *     reference implementation the flattening replaced, kept here so
  *     the speedup never silently evaporates into "both sides got
  *     slower";
- *   - bit-identity: the fast path must produce exactly the baseline's
- *     CoreStats, and runSegmentGeneric (every instruction through the
- *     generic body) must match the tagged fast path for every family.
+ *   - bit-identity: the OoO step must produce exactly the baseline's
+ *     CoreStats, and for the in-order and interval families
+ *     runSegmentGeneric (every instruction through the generic body)
+ *     must match the tagged fast path.
  *
  * Feeds the perf_step_guard ctest entry via --json: step_speedup
  * (geomean of the OoO A-B across workload classes) and
@@ -376,19 +378,25 @@ runGeneric(Model &model, const vm::PackedTrace &trace)
     return model.finishRun();
 }
 
+/** True for families that keep a fast/generic step split. */
+template <class Model>
+constexpr bool hasGenericSeam =
+    requires(Model &m, vm::PackedStream &s) { m.runSegmentGeneric(s, 0); };
+
 /** Per-family, per-workload measurement row. */
 struct Row
 {
     double fastNs = 0.0;
-    double genericNs = 0.0;
+    double genericNs = 0.0;  //!< fast/generic families only (0 else)
     double baselineNs = 0.0; //!< OoO only (0 elsewhere)
     bool identical = true;
 };
 
 /**
- * Measure one family over one trace: interleaved min-of-N fast vs
- * generic (and, through @p baseline, vs the frozen step), so scheduler
- * drift hits all sides of the A-B equally.
+ * Measure one family over one trace: interleaved min-of-N library step
+ * vs generic body (where the family has one) and, through @p baseline,
+ * vs the frozen step, so scheduler drift hits all sides of the A-B
+ * equally.
  */
 template <class Model>
 Row
@@ -405,10 +413,13 @@ measureFamily(const core::CoreParams &params,
             insts, [&] { fast_stats = runFast(model, trace); });
         if (rep == 0 || ns < row.fastNs)
             row.fastNs = ns;
-        ns = timedNsPerInst(
-            insts, [&] { generic_stats = runGeneric(model, trace); });
-        if (rep == 0 || ns < row.genericNs)
-            row.genericNs = ns;
+        if constexpr (hasGenericSeam<Model>) {
+            ns = timedNsPerInst(insts, [&] {
+                generic_stats = runGeneric(model, trace);
+            });
+            if (rep == 0 || ns < row.genericNs)
+                row.genericNs = ns;
+        }
         if (baseline) {
             ns = timedNsPerInst(insts, [&] {
                 baseline_stats = baseline->run(trace);
@@ -417,8 +428,11 @@ measureFamily(const core::CoreParams &params,
                 row.baselineNs = ns;
         }
     }
-    row.identical = statsEqual(fast_stats, generic_stats)
-        && (!baseline || statsEqual(fast_stats, baseline_stats));
+    if constexpr (hasGenericSeam<Model>)
+        row.identical = statsEqual(fast_stats, generic_stats);
+    if (baseline)
+        row.identical =
+            row.identical && statsEqual(fast_stats, baseline_stats);
     return row;
 }
 
@@ -432,8 +446,8 @@ main(int argc, char **argv)
         argc, argv,
         "Step-cost microbench: ns/inst of the per-instruction hot "
         "path per timing-model family and workload class, with a "
-        "frozen pre-flattening OoO baseline A-B and fast-vs-generic "
-        "bit-identity checks.");
+        "frozen pre-flattening OoO baseline A-B and bit-identity "
+        "checks.");
     setQuiet(true);
     bench::header("Per-instruction step cost (ns/inst, min of N "
                   "interleaved passes)");
@@ -447,7 +461,7 @@ main(int argc, char **argv)
     core::CoreParams ooo_params = core::publicInfoA72();
 
     std::printf("%-8s %-10s %-26s %10s %10s %10s %8s\n", "family",
-                "workload", "ubench", "fast", "generic", "baseline",
+                "workload", "ubench", "step", "generic", "baseline",
                 "speedup");
 
     bool all_identical = true;
@@ -484,27 +498,33 @@ main(int argc, char **argv)
         };
 
         for (const FamilyRun &fr : runs) {
+            bool has_generic = fr.row.genericNs > 0.0;
             bool has_baseline = fr.row.baselineNs > 0.0;
             double speedup = has_baseline && fr.row.fastNs > 0.0
                 ? fr.row.baselineNs / fr.row.fastNs : 0.0;
-            char baseline_col[32] = "-", speedup_col[32] = "-";
+            char generic_col[32] = "-", baseline_col[32] = "-",
+                 speedup_col[32] = "-";
+            if (has_generic)
+                std::snprintf(generic_col, sizeof(generic_col), "%.2f",
+                              fr.row.genericNs);
             if (has_baseline) {
                 std::snprintf(baseline_col, sizeof(baseline_col),
                               "%.2f", fr.row.baselineNs);
                 std::snprintf(speedup_col, sizeof(speedup_col),
                               "%.2fx", speedup);
             }
-            std::printf("%-8s %-10s %-26s %9.2f %10.2f %10s %8s%s\n",
+            std::printf("%-8s %-10s %-26s %9.2f %10s %10s %8s%s\n",
                         fr.name, wc.key, wc.what, fr.row.fastNs,
-                        fr.row.genericNs, baseline_col, speedup_col,
+                        generic_col, baseline_col, speedup_col,
                         fr.row.identical ? "" : "  (DIVERGED)");
             all_identical = all_identical && fr.row.identical;
 
             std::string prefix =
                 std::string("step_") + fr.name + "_" + wc.key;
             bench::jsonMetric(prefix + "_ns_per_inst", fr.row.fastNs);
-            bench::jsonMetric(prefix + "_generic_ns_per_inst",
-                              fr.row.genericNs);
+            if (has_generic)
+                bench::jsonMetric(prefix + "_generic_ns_per_inst",
+                                  fr.row.genericNs);
             if (has_baseline) {
                 bench::jsonMetric(prefix + "_baseline_ns_per_inst",
                                   fr.row.baselineNs);
@@ -527,6 +547,6 @@ main(int argc, char **argv)
     bench::jsonMetric("step_insts_per_trace",
                       static_cast<double>(insts));
 
-    bench::writeJson(nullptr);
+    bench::writeJson();
     return all_identical ? 0 : 1;
 }

@@ -7,17 +7,17 @@
  * smoke_step_cost ctest fixture) and fails when either pillar of the
  * hot-path contract regressed:
  *
- *   - step_bit_identical must be 1: the tagged fast path, the generic
- *     step body and the frozen pre-flattening baseline all produced
- *     exactly the same CoreStats on every family x workload class;
- *   - step_speedup must stay >= minSpeedup: the OoO A-B against the
- *     bench-local frozen step (per-instruction classification +
- *     modulo scoreboard indexing) keeps a real margin. The flattening
- *     buys well over this floor on ALU-heavy mixes; 1.1 leaves room
- *     for memory-dominated workloads (where the cache model, shared
- *     by both sides, bounds the win) and contended CI runners, while
- *     still tripping if the fast path decays back to per-step
- *     divides.
+ *   - step_bit_identical must be 1: the in-order and interval fast
+ *     paths matched their generic step bodies, and the OoO step
+ *     matched the frozen pre-flattening baseline, in exactly the same
+ *     CoreStats on every workload class;
+ *   - step_speedup must stay >= minSpeedup: the OoO step (one body for
+ *     every kind) against the bench-local frozen step (per-instruction
+ *     classification + modulo scoreboard indexing) keeps a real
+ *     margin. 1.1 leaves room for memory-dominated workloads (where
+ *     the cache model, shared by both sides, bounds the win) and
+ *     contended CI runners, while still tripping if the step decays
+ *     back to per-step divides.
  *
  * Run as a plain binary: `step_guard <path-to-json>`. Not a bench
  * driver (no --smoke/--json protocol): it is the ctest check that
@@ -96,8 +96,8 @@ main(int argc, char **argv)
     if (bit_identical != 1.0) {
         std::fprintf(stderr,
                      "step_guard: FAIL step_bit_identical = %g "
-                     "(expected 1): the flattened hot path diverged "
-                     "from the generic body or the frozen baseline\n",
+                     "(expected 1): a step diverged from its generic "
+                     "body or the frozen baseline\n",
                      bit_identical);
         ++failures;
     }

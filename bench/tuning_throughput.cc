@@ -7,7 +7,9 @@
  * experiments/second of each:
  *
  *   pre-engine   every evaluation functionally re-executes the
- *                benchmark (the seed repo's hot path),
+ *                benchmark and packs a throwaway trace of it (the
+ *                seed repo's hot path, through the live
+ *                run(TraceSource&) convenience),
  *   engine/cold  the evaluation engine with empty caches: each
  *                benchmark is recorded once, every evaluation is a
  *                trace replay on its own pool item, batches are
@@ -337,6 +339,6 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     report();
     measureTelemetryOverhead();
-    bench::writeJson(&finalEngineStats, /*host_stamp=*/true);
+    bench::writeJson(&finalEngineStats);
     return 0;
 }

@@ -89,9 +89,9 @@ InOrderCore::beginRun()
  * readiness, FU reservation, writeback. No memory or predictor
  * machinery is reachable for kind == Alu.
  */
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-InOrderCore::stepAlu(const Stream &s)
+InOrderCore::stepAlu(const vm::PackedStream &s)
 {
     obs::StepTimer<Profiled> timer(obs::stepFamilyInOrder);
 
@@ -125,9 +125,9 @@ InOrderCore::stepAlu(const Stream &s)
     advanceSlot();
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-InOrderCore::stepSlow(const Stream &s, OpKind kind)
+InOrderCore::stepSlow(const vm::PackedStream &s, OpKind kind)
 {
     obs::StepTimer<Profiled> timer(obs::stepFamilyInOrder);
 
@@ -242,9 +242,9 @@ InOrderCore::stepSlow(const Stream &s, OpKind kind)
     advanceSlot();
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-InOrderCore::step(const Stream &s)
+InOrderCore::step(const vm::PackedStream &s)
 {
     OpKind kind = s.kind();
     if (kind == OpKind::Alu) [[likely]] {
@@ -254,9 +254,9 @@ InOrderCore::step(const Stream &s)
     stepSlow<Profiled>(s, kind);
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 uint64_t
-InOrderCore::runSegmentImpl(Stream &s, uint64_t max_insts)
+InOrderCore::runSegmentImpl(vm::PackedStream &s, uint64_t max_insts)
 {
     uint64_t consumed = 0;
     while (consumed < max_insts && s.next()) {
@@ -266,18 +266,16 @@ InOrderCore::runSegmentImpl(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
 uint64_t
-InOrderCore::runSegment(Stream &s, uint64_t max_insts)
+InOrderCore::runSegment(vm::PackedStream &s, uint64_t max_insts)
 {
     if (obs::stepProfilingEnabled())
         return runSegmentImpl<true>(s, max_insts);
     return runSegmentImpl<false>(s, max_insts);
 }
 
-template <class Stream>
 uint64_t
-InOrderCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
+InOrderCore::runSegmentGeneric(vm::PackedStream &s, uint64_t max_insts)
 {
     uint64_t consumed = 0;
     while (consumed < max_insts && s.next()) {
@@ -286,15 +284,6 @@ InOrderCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     }
     return consumed;
 }
-
-template uint64_t
-InOrderCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
-template uint64_t
-InOrderCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentGeneric<vm::PackedStream>(
-    vm::PackedStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentGeneric<vm::SourceStream>(
-    vm::SourceStream &, uint64_t);
 
 CoreStats
 InOrderCore::finishRun()
@@ -310,16 +299,6 @@ InOrderCore::finishRun()
     runStats.l2Misses = mem.l2().stats().misses;
     runStats.dramReads = mem.dram().readCount();
     return runStats;
-}
-
-CoreStats
-InOrderCore::run(vm::TraceSource &source)
-{
-    beginRun();
-    source.reset();
-    vm::SourceStream stream(source);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
 }
 
 CoreStats

@@ -46,9 +46,9 @@ IntervalCore::beginRun()
  * monotone retire -- no cache access, no predictor. Field-for-field
  * the ALU slice of stepSlow.
  */
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-IntervalCore::stepAlu(const Stream &s)
+IntervalCore::stepAlu(const vm::PackedStream &s)
 {
     obs::StepTimer<Profiled> timer(obs::stepFamilyInterval);
 
@@ -94,9 +94,9 @@ IntervalCore::stepAlu(const Stream &s)
     }
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-IntervalCore::stepSlow(const Stream &s, OpKind kind)
+IntervalCore::stepSlow(const vm::PackedStream &s, OpKind kind)
 {
     obs::StepTimer<Profiled> timer(obs::stepFamilyInterval);
 
@@ -177,9 +177,9 @@ IntervalCore::stepSlow(const Stream &s, OpKind kind)
     }
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 void
-IntervalCore::step(const Stream &s)
+IntervalCore::step(const vm::PackedStream &s)
 {
     OpKind kind = s.kind();
     if (kind == OpKind::Alu) [[likely]] {
@@ -189,9 +189,9 @@ IntervalCore::step(const Stream &s)
     stepSlow<Profiled>(s, kind);
 }
 
-template <bool Profiled, class Stream>
+template <bool Profiled>
 uint64_t
-IntervalCore::runSegmentImpl(Stream &s, uint64_t max_insts)
+IntervalCore::runSegmentImpl(vm::PackedStream &s, uint64_t max_insts)
 {
     uint64_t consumed = 0;
     while (consumed < max_insts && s.next()) {
@@ -201,18 +201,16 @@ IntervalCore::runSegmentImpl(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
 uint64_t
-IntervalCore::runSegment(Stream &s, uint64_t max_insts)
+IntervalCore::runSegment(vm::PackedStream &s, uint64_t max_insts)
 {
     if (obs::stepProfilingEnabled())
         return runSegmentImpl<true>(s, max_insts);
     return runSegmentImpl<false>(s, max_insts);
 }
 
-template <class Stream>
 uint64_t
-IntervalCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
+IntervalCore::runSegmentGeneric(vm::PackedStream &s, uint64_t max_insts)
 {
     uint64_t consumed = 0;
     while (consumed < max_insts && s.next()) {
@@ -221,15 +219,6 @@ IntervalCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     }
     return consumed;
 }
-
-template uint64_t
-IntervalCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
-template uint64_t
-IntervalCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentGeneric<vm::PackedStream>(
-    vm::PackedStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentGeneric<vm::SourceStream>(
-    vm::SourceStream &, uint64_t);
 
 CoreStats
 IntervalCore::finishRun()
@@ -244,16 +233,6 @@ IntervalCore::finishRun()
     runStats.l2Misses = mem.l2().stats().misses;
     runStats.dramReads = mem.dram().readCount();
     return runStats;
-}
-
-CoreStats
-IntervalCore::run(vm::TraceSource &source)
-{
-    beginRun();
-    source.reset();
-    vm::SourceStream stream(source);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
 }
 
 CoreStats

@@ -37,7 +37,7 @@
 #include "core/params.hh"
 #include "core/stats.hh"
 #include "core/timing_model.hh"
-#include "vm/trace.hh"
+#include "vm/packed_trace.hh"
 
 namespace raceval::core
 {
@@ -48,16 +48,9 @@ class IntervalCore : public TimingModel
   public:
     explicit IntervalCore(const CoreParams &params);
 
-    /**
-     * Simulate one full trace from a clean machine state.
-     *
-     * @param source dynamic instruction stream (reset() is called).
-     * @return run statistics (CPI etc.).
-     */
-    CoreStats run(vm::TraceSource &source) override;
+    using TimingModel::run;
 
-    /** Packed replay: one PackedStream pass through runSegment;
-     *  bit-identical to run(TraceSource&) over the same recording. */
+    /** Packed replay: one PackedStream pass through runSegment. */
     CoreStats run(const vm::PackedTrace &trace) override;
 
     /// @name Segment interface
@@ -66,25 +59,22 @@ class IntervalCore : public TimingModel
     void beginRun();
 
     /**
-     * Replay up to @p max_insts instructions from @p stream
-     * (vm::PackedStream or vm::SourceStream; instantiated for both).
-     * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state.
+     * Replay up to @p max_insts instructions from @p stream. May be
+     * called repeatedly; a copy of the core mid-run continues from the
+     * same state.
      *
      * @return instructions consumed.
      */
-    template <class Stream>
-    uint64_t runSegment(Stream &stream, uint64_t max_insts);
+    uint64_t runSegment(vm::PackedStream &stream, uint64_t max_insts);
 
     /**
      * Test seam: identical contract to runSegment, but routes every
      * instruction -- including plain ALU -- through the generic step
      * body, so bit-identity of the tagged fast path is directly
-     * checkable against the un-specialized accounting (instantiated
-     * for vm::PackedStream and vm::SourceStream).
+     * checkable against the un-specialized accounting.
      */
-    template <class Stream>
-    uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
+    uint64_t runSegmentGeneric(vm::PackedStream &stream,
+                               uint64_t max_insts);
 
     /** Close accounting (end cycle) and return the stats. */
     CoreStats finishRun();
@@ -140,19 +130,20 @@ class IntervalCore : public TimingModel
      * generic body. @tparam Profiled selects the step-cost-profiler
      * instantiation.
      */
-    template <bool Profiled, class Stream>
-    void step(const Stream &s);
+    template <bool Profiled>
+    void step(const vm::PackedStream &s);
 
     /** Dominant-case fast path: kind == OpKind::Alu only. */
-    template <bool Profiled, class Stream>
-    void stepAlu(const Stream &s);
+    template <bool Profiled>
+    void stepAlu(const vm::PackedStream &s);
 
     /** Generic body handling every kind. */
-    template <bool Profiled, class Stream>
-    void stepSlow(const Stream &s, isa::OpKind kind);
+    template <bool Profiled>
+    void stepSlow(const vm::PackedStream &s, isa::OpKind kind);
 
-    template <bool Profiled, class Stream>
-    uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);
+    template <bool Profiled>
+    uint64_t runSegmentImpl(vm::PackedStream &stream,
+                            uint64_t max_insts);
 };
 
 } // namespace raceval::core

@@ -21,12 +21,12 @@ makeModel(const CoreParams &params)
 } // namespace
 
 CoreStats
-TimingModel::run(const vm::PackedTrace &trace)
+TimingModel::run(vm::TraceSource &source)
 {
-    // Generic fallback for out-of-tree models: replay through the
-    // TraceSource interface.
-    vm::PackedCursor cursor(trace);
-    return run(cursor);
+    const isa::Program *prog = source.program();
+    RV_ASSERT(prog != nullptr, "timing model: stream '%s' has no program",
+              source.name().c_str());
+    return run(vm::PackedTrace::build(*prog, source));
 }
 
 TimingModelRegistry::TimingModelRegistry()

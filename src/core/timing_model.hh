@@ -50,18 +50,16 @@ class TimingModel
   public:
     virtual ~TimingModel() = default;
 
-    /** Simulate one full trace from a clean machine state. */
-    virtual CoreStats run(vm::TraceSource &source) = 0;
+    /** Replay a packed trace from a clean machine state. */
+    virtual CoreStats run(const vm::PackedTrace &trace) = 0;
 
     /**
-     * Replay a packed trace from a clean machine state. Bit-identical
-     * to run(TraceSource&) over the same recording.
-     *
-     * The default implementation replays through a PackedCursor; the
-     * built-in families override it with one pass of their templated
-     * segment loop over a PackedStream.
+     * Simulate one full live stream from a clean machine state: packs
+     * @p source (which must expose its program) and replays the pack.
+     * A one-shot convenience; repeated evaluations of one program
+     * record once through the engine's TraceBank instead.
      */
-    virtual CoreStats run(const vm::PackedTrace &trace);
+    CoreStats run(vm::TraceSource &source);
 
     /** @return the active configuration. */
     virtual const CoreParams &params() const = 0;

@@ -30,16 +30,11 @@ EngineStats::summary() const
     std::string out;
     out += strprintf(
         "engine: %llu instances, %llu recorded (%llu insts; "
-        "%llu resident / %llu spilled / %llu readmitted; "
-        "%.1f MiB packed, %.1f MiB sift)\n",
+        "%.1f MiB packed)\n",
         static_cast<unsigned long long>(bank.instances),
         static_cast<unsigned long long>(bank.recordings),
         static_cast<unsigned long long>(bank.recordedInsts),
-        static_cast<unsigned long long>(bank.residentTraces),
-        static_cast<unsigned long long>(bank.spilledTraces),
-        static_cast<unsigned long long>(bank.readmittedTraces),
-        static_cast<double>(bank.residentBytes) / (1024.0 * 1024.0),
-        static_cast<double>(bank.encodedBytes) / (1024.0 * 1024.0));
+        static_cast<double>(bank.packedBytes) / (1024.0 * 1024.0));
     out += strprintf(
         "        cache: %llu hits / %llu misses (%.1f%% hit rate), "
         "%llu entries, %llu evictions\n",
@@ -77,10 +72,7 @@ EngineStats::json() const
         .field("instances", bank.instances)
         .field("recordings", bank.recordings)
         .field("recorded_insts", bank.recordedInsts)
-        .field("resident_traces", bank.residentTraces)
-        .field("spilled_traces", bank.spilledTraces)
-        .field("readmitted_traces", bank.readmittedTraces)
-        .field("packed_bytes", bank.residentBytes)
+        .field("packed_bytes", bank.packedBytes)
         .field("replays", bank.replays)
         .field("cache_hits", cache.hits)
         .field("cache_misses", cache.misses)
@@ -110,10 +102,7 @@ EngineStats::samples() const
         {"instances", n(bank.instances)},
         {"recordings", n(bank.recordings)},
         {"recorded_insts", n(bank.recordedInsts)},
-        {"resident_traces", n(bank.residentTraces)},
-        {"spilled_traces", n(bank.spilledTraces)},
-        {"readmitted_traces", n(bank.readmittedTraces)},
-        {"resident_bytes", n(bank.residentBytes)},
+        {"packed_bytes", n(bank.packedBytes)},
         {"replays", n(bank.replays)},
         {"cache_hits", n(cache.hits)},
         {"cache_misses", n(cache.misses)},
@@ -138,7 +127,6 @@ EngineStats::samples() const
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
     : fam(family),
-      bank(options.memoryResidentMaxInsts, options.residencyBudgetInsts),
       cache(options.cacheShards, options.cacheMaxEntriesPerShard),
       pool(options.threads)
 {
@@ -205,14 +193,11 @@ core::CoreStats
 EvalEngine::replayRun(core::ModelFamily family,
                       const core::CoreParams &model, size_t instance)
 {
-    // The hot path: replay the packed SoA form through the templated
-    // segment loops. Spilled traces fall back to the generic cursor.
+    // The hot path: replay the packed SoA form through the family's
+    // segment loop.
     RV_SPAN("replay.run", static_cast<uint64_t>(instance));
-    if (std::shared_ptr<const vm::PackedTrace> packed =
-            bank.packed(instance))
-        return core::makeTimingModel(family, model)->run(*packed);
-    std::unique_ptr<vm::TraceSource> source = bank.open(instance);
-    return core::makeTimingModel(family, model)->run(*source);
+    std::shared_ptr<const vm::PackedTrace> packed = bank.packed(instance);
+    return core::makeTimingModel(family, model)->run(*packed);
 }
 
 uint64_t

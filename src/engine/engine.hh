@@ -49,10 +49,6 @@ struct EngineOptions
 {
     /** Worker threads for batch evaluation (0 = hardware). */
     unsigned threads = 0;
-    /** Traces above this instruction count stay sift-encoded only. */
-    uint64_t memoryResidentMaxInsts = 1ull << 20;
-    /** Global packed-residency budget in insts (0 = unlimited). */
-    uint64_t residencyBudgetInsts = 0;
     /** EvalCache lock shards. */
     size_t cacheShards = 8;
     /** Per-shard entry cap (0 = unbounded). */

@@ -9,13 +9,6 @@
 namespace raceval::engine
 {
 
-TraceBank::TraceBank(uint64_t memory_resident_max_insts,
-                     uint64_t residency_budget_insts)
-    : maxResidentInsts(memory_resident_max_insts),
-      residencyBudgetInsts(residency_budget_insts)
-{
-}
-
 size_t
 TraceBank::add(const isa::Program &program)
 {
@@ -62,93 +55,16 @@ TraceBank::record(Entry &entry)
     std::call_once(entry.recordOnce, [&] {
         RV_SPAN("bank.record");
         vm::FunctionalCore live(entry.program);
-        auto trace = std::make_shared<const sift::SiftTrace>(
-            sift::encodeTrace(entry.program, live));
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            entry.trace = std::move(trace);
-            ++counters.recordings;
-            counters.recordedInsts += entry.trace->instCount();
-            counters.encodedBytes += entry.trace->encodedBytes();
-            // Provisionally spilled; admission moves it to resident.
-            ++counters.spilledTraces;
-        }
-        RV_INSTANT("bank.spill", entry.trace->instCount());
-        tryAdmit(entry);
+        auto trace = std::make_shared<const vm::PackedTrace>(
+            vm::PackedTrace::build(entry.program, live));
+        std::lock_guard<std::mutex> lock(mutex);
+        ++counters.recordings;
+        counters.recordedInsts += trace->instCount();
+        counters.packedBytes += trace->packedBytes();
+        RV_GAUGE_SET("bank.packed_bytes",
+                     static_cast<int64_t>(counters.packedBytes));
+        entry.trace = std::move(trace);
     });
-}
-
-void
-TraceBank::tryAdmit(Entry &entry)
-{
-    // One packer per entry; concurrent replayers of other entries are
-    // not blocked (the global mutex is only taken for bookkeeping).
-    std::lock_guard<std::mutex> admit(entry.admitMutex);
-    uint64_t insts;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (entry.packedTrace)
-            return;
-        insts = entry.trace->instCount();
-        if (insts > maxResidentInsts)
-            return;
-        if (residencyBudgetInsts
-            && residentInsts + insts > residencyBudgetInsts)
-            return;
-        // Reserve before the (slow) pack so a concurrent admission of
-        // another entry cannot overshoot the budget.
-        residentInsts += insts;
-    }
-
-    sift::SiftCursor cursor(entry.trace);
-    auto packed = std::make_shared<const vm::PackedTrace>(
-        vm::PackedTrace::build(entry.trace->program(), cursor));
-
-    bool readmitted;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        counters.residentBytes += packed->packedBytes();
-        entry.packedTrace = std::move(packed);
-        ++counters.residentTraces;
-        --counters.spilledTraces;
-        // First-recording admission is not a re-admission: the trace
-        // never served a replay from its spilled form.
-        readmitted = entry.servedSpilled;
-        if (readmitted)
-            ++counters.readmittedTraces;
-        RV_GAUGE_SET("bank.resident_bytes",
-                     static_cast<int64_t>(counters.residentBytes));
-    }
-    if (readmitted)
-        RV_INSTANT("bank.readmit", insts);
-    else
-        RV_INSTANT("bank.admit", insts);
-}
-
-std::unique_ptr<vm::TraceSource>
-TraceBank::open(size_t id)
-{
-    Entry &entry = entryFor(id);
-    record(entry);
-    std::shared_ptr<const vm::PackedTrace> packed;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.replays;
-        packed = entry.packedTrace;
-        if (!packed)
-            entry.servedSpilled = true;
-    }
-    if (!packed) {
-        // Spilled: retry admission (the budget may have been raised or
-        // freed since recording) rather than re-walking the sift
-        // stream on every replay.
-        tryAdmit(entry);
-        std::lock_guard<std::mutex> lock(mutex);
-        packed = entry.packedTrace;
-    }
-    if (packed)
-        return std::make_unique<vm::PackedCursor>(std::move(packed));
-    return std::make_unique<sift::SiftCursor>(entry.trace);
 }
 
 std::shared_ptr<const vm::PackedTrace>
@@ -156,16 +72,9 @@ TraceBank::packed(size_t id)
 {
     Entry &entry = entryFor(id);
     record(entry);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.replays;
-        if (entry.packedTrace)
-            return entry.packedTrace;
-        entry.servedSpilled = true;
-    }
-    tryAdmit(entry);
     std::lock_guard<std::mutex> lock(mutex);
-    return entry.packedTrace;
+    ++counters.replays;
+    return entry.trace;
 }
 
 uint64_t
@@ -175,13 +84,6 @@ TraceBank::instCount(size_t id)
     record(entry);
     std::lock_guard<std::mutex> lock(mutex);
     return entry.trace->instCount();
-}
-
-void
-TraceBank::setResidencyBudget(uint64_t insts)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    residencyBudgetInsts = insts;
 }
 
 TraceBankStats

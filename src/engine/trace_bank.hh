@@ -3,16 +3,10 @@
  * Record-once / replay-many trace storage for the evaluation engine.
  *
  * Every benchmark instance registered with the bank is functionally
- * executed exactly once; the resulting dynamic instruction stream is
- * memoized and every subsequent evaluation is a pure trace replay into
- * a timing model. Traces admitted to residency keep a packed
- * structure-of-arrays form (vm::PackedTrace -- decoded once, replayed
- * through the zero-virtual-call PackedStream); traces above the
- * per-trace threshold or not fitting the global residency budget keep
- * only their compact sift encoding and replay through a SiftCursor
- * (the spill path). A spilled trace is re-admitted into packed
- * residency on a later replay once the budget allows it, instead of
- * re-walking its sift stream forever.
+ * executed exactly once, packed on the fly into its structure-of-arrays
+ * form (vm::PackedTrace), and every subsequent evaluation is a pure
+ * replay of that pack through the zero-virtual-call PackedStream. The
+ * pack is the only in-memory trace form, whatever the trace's length.
  */
 
 #ifndef RACEVAL_ENGINE_TRACE_BANK_HH
@@ -24,51 +18,31 @@
 #include <vector>
 
 #include "isa/program.hh"
-#include "sift/sift.hh"
 #include "vm/packed_trace.hh"
-#include "vm/trace.hh"
 
 namespace raceval::engine
 {
 
-/** Aggregate TraceBank counters (all monotonically increasing except
- *  the resident/spilled split, which moves on re-admission). */
+/** Aggregate TraceBank counters (all monotonically increasing). */
 struct TraceBankStats
 {
     uint64_t instances = 0;     //!< registered programs
     uint64_t recordings = 0;    //!< functional executions performed
-    uint64_t replays = 0;       //!< replay handles opened
+    uint64_t replays = 0;       //!< packed traces handed out
     uint64_t recordedInsts = 0; //!< dynamic instructions recorded
-    uint64_t residentTraces = 0; //!< traces with a packed in-memory form
-    uint64_t spilledTraces = 0; //!< traces kept as sift bytes only
-    uint64_t readmittedTraces = 0; //!< spilled traces later packed
-    uint64_t residentBytes = 0; //!< memory held by packed replay arrays
-    uint64_t encodedBytes = 0;  //!< memory held by sift encodings
+    uint64_t packedBytes = 0;   //!< memory held by packed replay arrays
 };
 
 /**
  * The record-once trace store.
  *
- * Thread-safe: instances may be added and opened concurrently; the
- * first open() of an instance records it (guarded per instance), every
- * other caller waits for the recording and then shares it.
+ * Thread-safe: instances may be added and replayed concurrently; the
+ * first packed() of an instance records it (guarded per instance),
+ * every other caller waits for the recording and then shares it.
  */
 class TraceBank
 {
   public:
-    /**
-     * @param memory_resident_max_insts traces at or below this dynamic
-     *        instruction count are eligible for a packed in-memory
-     *        form; larger traces replay from their sift encoding only
-     *        (the spill path).
-     * @param residency_budget_insts global cap on the summed dynamic
-     *        instruction count of packed-resident traces (0 =
-     *        unlimited). A trace that does not fit stays spilled until
-     *        the budget allows it (see setResidencyBudget()).
-     */
-    explicit TraceBank(uint64_t memory_resident_max_insts = 1ull << 20,
-                       uint64_t residency_budget_insts = 0);
-
     /**
      * Register a program as a benchmark instance.
      *
@@ -87,34 +61,14 @@ class TraceBank
     const isa::Program &program(size_t id) const;
 
     /**
-     * Open a replay handle over an instance's recorded trace.
-     *
-     * Records the trace on first use (functional execution + sift
-     * encoding) and re-admits a spilled trace into packed residency
-     * when the budget allows. The returned source replays a stream
-     * byte-identical to live functional execution.
-     */
-    std::unique_ptr<vm::TraceSource> open(size_t id);
-
-    /**
-     * The packed form of an instance's recorded trace -- the replay
-     * hot path. Records on first use and re-admits a spilled trace
-     * when the budget allows.
-     *
-     * @return the shared packed trace, or null while the trace is
-     *         spilled (caller falls back to open()).
+     * The packed recording of an instance -- the replay hot path.
+     * Records on first use (functional execution packed directly);
+     * the stream it replays is identical to live execution.
      */
     std::shared_ptr<const vm::PackedTrace> packed(size_t id);
 
     /** @return dynamic instruction count of an instance (records it). */
     uint64_t instCount(size_t id);
-
-    /**
-     * Adjust the global residency budget at runtime (0 = unlimited).
-     * Raising it lets spilled traces re-admit on their next replay;
-     * lowering it never evicts already-resident traces.
-     */
-    void setResidencyBudget(uint64_t insts);
 
     TraceBankStats stats() const;
 
@@ -123,26 +77,13 @@ class TraceBank
     {
         isa::Program program;
         std::once_flag recordOnce;
-        /** Serializes packed (re-)admission attempts. */
-        std::mutex admitMutex;
-        std::shared_ptr<const sift::SiftTrace> trace;
-        /** Packed replay form; null for spilled (sift-replayed) traces. */
-        std::shared_ptr<const vm::PackedTrace> packedTrace;
-        /** True once a replay was served from the spilled form. */
-        bool servedSpilled = false;
+        std::shared_ptr<const vm::PackedTrace> trace;
     };
 
     Entry &entryFor(size_t id);
     void record(Entry &entry);
 
-    /** Pack the recorded trace if eligible and within budget. */
-    void tryAdmit(Entry &entry);
-
-    uint64_t maxResidentInsts;
-
     mutable std::mutex mutex;
-    uint64_t residencyBudgetInsts; //!< 0 = unlimited
-    uint64_t residentInsts = 0;    //!< summed instCount of packed traces
     std::vector<std::unique_ptr<Entry>> entries;
     std::unordered_map<uint64_t, size_t> byFingerprint;
     TraceBankStats counters;

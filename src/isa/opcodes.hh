@@ -109,9 +109,8 @@ constexpr size_t numOpKinds = 4;
 /**
  * @return the dispatch kind of a timing class.
  *
- * Constexpr and branch-free enough to run per dynamic instruction on
- * the SourceStream path (the packed path reads the precomputed tag
- * instead). Must stay consistent with the decoder's isLoad / isStore /
+ * Evaluated once per static word when a trace is packed; replay reads
+ * the precomputed tag from the packed row. Must stay consistent with the decoder's isLoad / isStore /
  * isBranch flags: the decoder derives those from the same class
  * mapping (isLoad iff cls == Load, etc.), and the static-row tag
  * golden test in tests/test_replay.cc locks the agreement in.

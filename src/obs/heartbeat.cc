@@ -20,7 +20,7 @@ namespace
 
 /** Default shortlist for the stderr line (substring match). */
 const char *const kDefaultLogKeys[] = {
-    "experiments_per_s", "hit_rate", "resident_bytes", "queue_depth",
+    "experiments_per_s", "hit_rate", "packed_bytes", "queue_depth",
     "fresh_evals", "pending",
 };
 

@@ -41,7 +41,7 @@ struct HeartbeatOptions
     /** Only samples/metrics whose name contains one of these
      *  substrings appear in the log line (the JSON always carries
      *  everything). Empty = a built-in shortlist of the high-signal
-     *  names: experiments/s, hit rates, resident bytes, queue depth. */
+     *  names: experiments/s, hit rates, packed bytes, queue depth. */
     std::vector<std::string> logKeys;
 };
 

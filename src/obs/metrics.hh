@@ -75,7 +75,7 @@ class Counter
     std::atomic<uint64_t> v{0};
 };
 
-/** Instantaneous level (queue depth, resident bytes, ...). */
+/** Instantaneous level (queue depth, packed bytes, ...). */
 class Gauge
 {
   public:

@@ -23,7 +23,7 @@
  * spans: race.run / race.iteration / race.step, engine.batch /
  * engine.eval, replay.run, bank.record, cache.save / cache.load /
  * cache.map, campaign.task / campaign.checkpoint;
- * instants: bank.spill / bank.admit / bank.readmit / heartbeat.tick.
+ * instants: heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
  */
@@ -152,8 +152,7 @@ class Span
     bool hasArg = false;
 };
 
-/** Record a zero-duration instant event (spill decisions,
- *  re-admissions, heartbeat ticks). */
+/** Record a zero-duration instant event (e.g. heartbeat ticks). */
 inline void
 instant(const char *static_name) noexcept
 {

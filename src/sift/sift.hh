@@ -22,11 +22,11 @@
  *                 (target - pc) / 4
  *     other:      nothing
  *
- * The parsed form is split into an immutable, shareable SiftTrace
- * (bytes + embedded program + static decode, parsed once) and
- * lightweight SiftCursor replay handles, so many concurrent timing
- * runs can replay one recording without re-parsing or copying it --
- * the backbone of the engine's TraceBank.
+ * Sift is the on-disk form only (the engine's TraceBank keeps its
+ * recordings as vm::PackedTrace). The parsed form is split into an
+ * immutable, shareable SiftTrace (bytes + embedded program + static
+ * decode, parsed once) and lightweight SiftCursor replay handles, so
+ * several readers can replay one file without re-parsing it.
  */
 
 #ifndef RACEVAL_SIFT_SIFT_HH

@@ -56,9 +56,9 @@ struct UbenchInfo
  * Scale a Table I count into tuning-friendly range: halve until
  * <= cap (relative ordering is preserved as far as possible). The
  * default cap matches the Table I tuning suite; long-loop firmware
- * workloads pass a larger cap so traces stay >= 1 M instructions and
- * exercise the TraceBank spill + re-admission path instead of being
- * silently halved below it.
+ * workloads pass a larger cap so their traces stay >= 1 M
+ * instructions, the length of a firmware run, instead of being
+ * silently halved to tuning-suite size.
  */
 uint64_t scaledCount(uint64_t paper_count, uint64_t cap = 260'000);
 

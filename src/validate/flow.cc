@@ -6,7 +6,6 @@
 #include "core/timing_model.hh"
 #include "stats/descriptive.hh"
 #include "ubench/ubench.hh"
-#include "vm/functional.hh"
 
 namespace raceval::validate
 {
@@ -101,14 +100,6 @@ ValidationFlow::~ValidationFlow()
         return;
     }
     evalEngine->saveCache(opts.evalCachePath);
-}
-
-core::CoreStats
-ValidationFlow::simulate(const core::CoreParams &model,
-                         const isa::Program &program) const
-{
-    vm::FunctionalCore source(program);
-    return core::makeTimingModel(fam, model)->run(source);
 }
 
 double

@@ -171,15 +171,6 @@ class ValidationFlow
     ubenchErrorBatch(const std::vector<core::CoreParams> &models,
                      size_t stride = 1);
 
-    /**
-     * Run the simulator model (family per construction) on a program,
-     * one-shot: live functional execution, no registration with the
-     * engine. Use evaluateOn() for programs that will be evaluated
-     * repeatedly -- it records, replays and caches.
-     */
-    core::CoreStats simulate(const core::CoreParams &model,
-                             const isa::Program &program) const;
-
     /** @return the validated timing-model family. */
     core::ModelFamily family() const { return fam; }
 

@@ -17,44 +17,15 @@ fitsNarrow(int64_t delta)
         && delta <= std::numeric_limits<int32_t>::max();
 }
 
-const PackedTrace *
-requireTrace(const std::shared_ptr<const PackedTrace> &trace)
-{
-    RV_ASSERT(trace != nullptr, "packed cursor over null trace");
-    return trace.get();
-}
-
 } // namespace
 
 PackedTrace
-PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
-                   isa::DecoderOptions decoder_options)
+PackedTrace::build(const isa::Program &prog, vm::TraceSource &source)
 {
     PackedTrace out;
     out.prog = prog;
-
-    isa::Decoder decoder(decoder_options);
-    out.decoded.resize(prog.code.size());
     out.statics.resize(prog.code.size());
-    for (size_t i = 0; i < prog.code.size(); ++i) {
-        isa::DecodedInst &inst = out.decoded[i];
-        if (!decoder.decode(prog.code[i], inst))
-            fatal("packed trace: undecodable word 0x%08x in '%s'",
-                  prog.code[i], prog.name.c_str());
-        PackedStatic &row = out.statics[i];
-        row.cls = static_cast<uint8_t>(inst.cls);
-        row.dst = inst.dst;
-        row.numSrcs = inst.numSrcs;
-        for (unsigned s = 0; s < 3; ++s)
-            row.src[s] = inst.src[s];
-        row.memSize = inst.memSize;
-        row.flags = (inst.hasDst() ? flagHasDst : 0)
-            | (inst.isBranch ? flagBranch : 0)
-            | (inst.isLoad || inst.isStore ? flagMem : 0)
-            | static_cast<uint8_t>(
-                  static_cast<uint8_t>(isa::opKindOf(inst.cls))
-                  << flagKindShift);
-    }
+    std::vector<uint8_t> seen(prog.code.size(), 0);
 
     source.reset();
     DynInst dyn;
@@ -62,7 +33,31 @@ PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
     uint64_t branches = 0;
     while (source.next(dyn)) {
         ++out.count;
-        if (dyn.inst.isLoad || dyn.inst.isStore) {
+        const isa::DecodedInst &inst = dyn.inst;
+        size_t index = static_cast<size_t>((dyn.pc - prog.codeBase) / 4);
+        RV_ASSERT(index < prog.code.size(),
+                  "packed trace: pc 0x%llx outside '%s'",
+                  static_cast<unsigned long long>(dyn.pc),
+                  prog.name.c_str());
+        // Every dynamic instance of a word carries the same decode, so
+        // its row is written on first execution only.
+        if (!seen[index]) {
+            seen[index] = 1;
+            PackedStatic &row = out.statics[index];
+            row.cls = static_cast<uint8_t>(inst.cls);
+            row.dst = inst.dst;
+            row.numSrcs = inst.numSrcs;
+            for (unsigned s = 0; s < 3; ++s)
+                row.src[s] = inst.src[s];
+            row.memSize = inst.memSize;
+            row.flags = (inst.hasDst() ? flagHasDst : 0)
+                | (inst.isBranch ? flagBranch : 0)
+                | (inst.isLoad || inst.isStore ? flagMem : 0)
+                | static_cast<uint8_t>(
+                      static_cast<uint8_t>(isa::opKindOf(inst.cls))
+                      << flagKindShift);
+        }
+        if (inst.isLoad || inst.isStore) {
             int64_t delta = static_cast<int64_t>(dyn.memAddr)
                 - static_cast<int64_t>(prev_mem);
             if (fitsNarrow(delta)) {
@@ -72,7 +67,7 @@ PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
                 out.memWide.push_back(dyn.memAddr);
             }
             prev_mem = dyn.memAddr;
-        } else if (dyn.inst.isBranch) {
+        } else if (inst.isBranch) {
             if ((branches & 63) == 0)
                 out.takenBits.push_back(0);
             if (dyn.taken) {
@@ -103,32 +98,6 @@ PackedTrace::packedBytes() const
         + takenBits.size() * sizeof(uint64_t)
         + targetDelta.size() * sizeof(int32_t)
         + targetWide.size() * sizeof(uint64_t);
-}
-
-PackedCursor::PackedCursor(std::shared_ptr<const PackedTrace> trace)
-    : owned(std::move(trace)), t(requireTrace(owned)), stream(*t)
-{
-}
-
-PackedCursor::PackedCursor(const PackedTrace &trace)
-    : t(&trace), stream(trace)
-{
-}
-
-bool
-PackedCursor::next(DynInst &out)
-{
-    if (!stream.next())
-        return false;
-    out.pc = stream.pc();
-    out.inst = t->decodedAt(stream.staticIndex());
-    // Mirror SiftCursor's defaults for fields the event does not carry,
-    // so cursor replay is bit-identical field-for-field.
-    bool is_mem = out.inst.isLoad || out.inst.isStore;
-    out.memAddr = is_mem ? stream.memAddr() : 0;
-    out.taken = out.inst.isBranch ? stream.taken() : false;
-    out.nextPc = stream.nextPc();
-    return true;
 }
 
 } // namespace raceval::vm

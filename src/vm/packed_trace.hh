@@ -1,28 +1,23 @@
 /**
  * @file
- * Structure-of-arrays packed trace representation -- the replay hot
- * path's working set.
+ * Structure-of-arrays packed trace representation -- the one in-memory
+ * form of a recording, and the replay hot path's working set.
  *
- * A sift recording interleaves varint-compressed events with static
- * decode lookups, so every replay pays decode + varint cost per
- * instruction. A PackedTrace is built once per recording and splits the
- * trace into cache-friendly parallel arrays:
+ * A PackedTrace is built once per recording, straight from the dynamic
+ * stream, and splits the trace into cache-friendly parallel arrays:
  *
  *   - an 8-byte PackedStatic row per static instruction (opcode class,
- *     operand indices, memory size, flags) next to the full DecodedInst
- *     table for consumers that need it;
+ *     operand indices, memory size, flags), taken from the stream's own
+ *     decode;
  *   - a 4-byte stride-compressed delta per memory event (with a wide
  *     side table for the rare delta that does not fit 32 bits);
  *   - one taken bit per branch event plus a 4-byte target delta per
  *     taken branch (same wide fallback).
  *
  * Nothing is stored per non-event instruction: the pc chain is implied
- * (pc + 4 except taken branches), exactly the invariant the sift format
- * encodes. Replay then streams these arrays through a PackedStream --
- * the zero-virtual-call view the timing-model segment loops are
- * templated over -- or through a PackedCursor when a generic
- * vm::TraceSource is needed. Both emit streams bit-identical to the
- * SiftCursor over the same recording.
+ * (pc + 4 except taken branches), the same invariant the sift on-disk
+ * format encodes. Replay streams these arrays through a PackedStream,
+ * the zero-virtual-call view the timing-model segment loops read.
  */
 
 #ifndef RACEVAL_VM_PACKED_TRACE_HH
@@ -30,7 +25,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,8 +51,8 @@ static_assert(sizeof(PackedStatic) == 8, "PackedStatic must stay 8 bytes");
 
 /**
  * One immutable packed recording. Self-contained (owns a copy of the
- * program and its static decode), safe to share behind a shared_ptr;
- * all replay state lives in PackedStream / PackedCursor.
+ * program), safe to share behind a shared_ptr; all replay state lives
+ * in PackedStream.
  */
 class PackedTrace
 {
@@ -85,16 +79,16 @@ class PackedTrace
      * Pack one full recording.
      *
      * Drains @p source to completion (reset() first); the stream must
-     * execute @p prog (event pcs index its code).
+     * execute @p prog (event pcs index its code). Each static row is
+     * taken from the stream's own DynInst::inst, so a fault-injected
+     * exposed decode survives packing. Rows of words the stream never
+     * executes stay zero (IntAlu, no operands) and are never read.
      *
      * @param prog the program behind the stream.
-     * @param source dynamic stream to pack (e.g. a SiftCursor).
-     * @param decoder_options static-decode fault injection, forwarded
-     *        to the embedded decode table.
+     * @param source dynamic stream to pack (e.g. a FunctionalCore).
      */
     static PackedTrace build(const isa::Program &prog,
-                             vm::TraceSource &source,
-                             isa::DecoderOptions decoder_options = {});
+                             vm::TraceSource &source);
 
     const std::string &name() const { return prog.name; }
     const isa::Program &program() const { return prog; }
@@ -102,16 +96,12 @@ class PackedTrace
     /** @return total dynamic instructions. */
     uint64_t instCount() const { return count; }
 
-    /** @return static decode of instruction word i. */
-    const isa::DecodedInst &decodedAt(size_t i) const { return decoded[i]; }
-
     /** @return the packed replay row of static instruction word i (the
      *  8-byte view the segment loops read). */
     const PackedStatic &staticRow(size_t i) const { return statics[i]; }
 
     /** @return bytes held by the packed replay arrays (the stream the
-     *  hot loop actually touches; excludes the program copy and the
-     *  DecodedInst table). */
+     *  hot loop actually touches; excludes the program copy). */
     size_t packedBytes() const;
 
   private:
@@ -120,7 +110,6 @@ class PackedTrace
     PackedTrace() = default;
 
     isa::Program prog;
-    std::vector<isa::DecodedInst> decoded; //!< per static word
     std::vector<PackedStatic> statics;     //!< per static word
     uint64_t count = 0;
 
@@ -135,9 +124,9 @@ class PackedTrace
 /**
  * Zero-virtual-call replay view over a PackedTrace.
  *
- * This is the "Stream" type the timing models' segment loops are
- * templated over: next() advances to the next dynamic instruction and
- * the accessors expose exactly the fields the models read. Accessors
+ * This is the stream the timing models' segment loops read: next()
+ * advances to the next dynamic instruction and the accessors expose
+ * exactly the fields the models read. Accessors
  * whose flag is not set on the current instruction return unspecified
  * values (mirroring DynInst's "undefined otherwise" contract), except
  * nextPc(), which is always the executed successor pc.
@@ -255,63 +244,6 @@ class PackedStream
     size_t tgtPos = 0;
     size_t tgtWidePos = 0;
     const PackedStatic *row = nullptr;
-};
-
-/**
- * Adapter giving a generic vm::TraceSource the same duck-typed stream
- * interface as PackedStream, so one templated segment loop serves both
- * the packed hot path and arbitrary sources (live functional
- * execution, sift spill replay) -- which is what makes the two paths
- * bit-identical by construction.
- */
-class SourceStream
-{
-  public:
-    explicit SourceStream(TraceSource &source) : src(&source) {}
-
-    bool next() { return src->next(dyn); }
-
-    uint64_t pc() const { return dyn.pc; }
-    isa::OpClass cls() const { return dyn.inst.cls; }
-    unsigned srcCount() const { return dyn.inst.numSrcs; }
-    uint8_t srcReg(unsigned i) const { return dyn.inst.src[i]; }
-    bool hasDst() const { return dyn.inst.hasDst(); }
-    uint8_t dstReg() const { return dyn.inst.dst; }
-    unsigned memSize() const { return dyn.inst.memSize; }
-    bool isBranch() const { return dyn.inst.isBranch; }
-    isa::OpKind kind() const { return isa::opKindOf(dyn.inst.cls); }
-    uint64_t memAddr() const { return dyn.memAddr; }
-    bool taken() const { return dyn.taken; }
-    uint64_t nextPc() const { return dyn.nextPc; }
-
-  private:
-    TraceSource *src;
-    DynInst dyn;
-};
-
-/**
- * A packed trace replayed through the generic TraceSource interface
- * (for consumers that are not templated over streams). Emits DynInsts
- * bit-identical to a SiftCursor over the same recording.
- */
-class PackedCursor final : public TraceSource
-{
-  public:
-    /** Share ownership of the trace (TraceBank handles). */
-    explicit PackedCursor(std::shared_ptr<const PackedTrace> trace);
-
-    /** Borrow the trace (caller guarantees lifetime). */
-    explicit PackedCursor(const PackedTrace &trace);
-
-    bool next(DynInst &out) override;
-    void reset() override { stream.rewind(); }
-    const std::string &name() const override { return t->name(); }
-    const isa::Program *program() const override { return &t->program(); }
-
-  private:
-    std::shared_ptr<const PackedTrace> owned; //!< may be null (borrowed)
-    const PackedTrace *t;
-    PackedStream stream;
 };
 
 } // namespace raceval::vm

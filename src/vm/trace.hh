@@ -36,10 +36,11 @@ struct DynInst
 /**
  * A restartable stream of dynamic instructions.
  *
- * Timing models pull from this interface, which makes them agnostic to
- * whether the stream comes from live functional execution (the
- * DynamoRIO-style front-end) or a recorded SIFT trace (replay on
- * another machine, as the paper does on its x86 servers).
+ * Consumers are agnostic to whether the stream comes from live
+ * functional execution (the DynamoRIO-style front-end) or a recorded
+ * SIFT trace (replay on another machine, as the paper does on its x86
+ * servers). The detailed hardware models pull from it directly; the
+ * abstract timing models pack it into a vm::PackedTrace first.
  */
 class TraceSource
 {

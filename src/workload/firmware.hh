@@ -8,9 +8,9 @@
  * interrupt-style dispatch loop, a software-timer wheel, and a
  * linked-list traversal. All three are built from the same assembly
  * idioms as the Table I micro-benchmarks, but run as *long* traces
- * (>= 1 M dynamic instructions after scaling) so they cross the
- * TraceBank spill threshold and exercise the sift spill + re-admission
- * path that short tuning traces never touch.
+ * (>= 1 M dynamic instructions after scaling): an order of magnitude
+ * longer than the tuning suite's, so recording and replay costs per
+ * instruction dominate a firmware race.
  */
 
 #ifndef RACEVAL_WORKLOAD_FIRMWARE_HH
@@ -35,10 +35,11 @@ struct FirmwareInfo
 };
 
 /**
- * Scaling cap for firmware traces: halving stops in (cap/2, cap], and
- * cap/2 is exactly the TraceBank spill threshold (1 Mi instructions),
- * so every scaled firmware trace is guaranteed to spill. This is the
- * reason ubench::scaledCount takes the cap as a parameter.
+ * Scaling cap for firmware traces: halving stops in (cap/2, cap], so
+ * every scaled firmware trace lands between 1 Mi and 2 Mi dynamic
+ * instructions. The value is fixed because the firmware goldens depend
+ * on the scaled counts; it is the reason ubench::scaledCount takes the
+ * cap as a parameter.
  */
 constexpr uint64_t traceCap = 2'097'152;
 

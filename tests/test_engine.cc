@@ -18,6 +18,7 @@
 #include "tuner/strategy.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
+#include "workload/firmware.hh"
 
 using namespace raceval;
 using namespace raceval::engine;
@@ -33,58 +34,72 @@ smallProgram(const char *name, uint64_t insts = 20000)
     return info->builder(insts, true);
 }
 
-/** Drain a source and require stream identity with live execution. */
+/**
+ * Walk a packed replay against live execution and require every field
+ * the timing models read to match: pc, class, sources, destination,
+ * access size, address (memory ops), outcome (branches), successor pc
+ * and dispatch kind.
+ */
 void
-expectStreamIdentical(vm::TraceSource &replay, const isa::Program &prog)
+expectStreamIdentical(const vm::PackedTrace &trace,
+                      const isa::Program &prog)
 {
     vm::FunctionalCore live(prog);
-    vm::DynInst a, b;
+    vm::PackedStream replay(trace);
+    vm::DynInst dyn;
     uint64_t count = 0;
-    while (live.next(a)) {
-        ASSERT_TRUE(replay.next(b)) << "replay ended early at " << count;
-        ASSERT_EQ(a.pc, b.pc);
-        ASSERT_EQ(a.inst.op, b.inst.op);
-        ASSERT_EQ(a.memAddr, b.memAddr);
-        ASSERT_EQ(a.taken, b.taken);
-        ASSERT_EQ(a.nextPc, b.nextPc);
+    while (live.next(dyn)) {
+        ASSERT_TRUE(replay.next()) << "replay ended early at " << count;
+        const isa::DecodedInst &inst = dyn.inst;
+        ASSERT_EQ(replay.pc(), dyn.pc) << count;
+        ASSERT_EQ(replay.cls(), inst.cls) << count;
+        ASSERT_EQ(replay.srcCount(), inst.numSrcs) << count;
+        for (unsigned i = 0; i < inst.numSrcs; ++i) {
+            ASSERT_EQ(replay.srcReg(i), inst.src[i]) << count;
+        }
+        ASSERT_EQ(replay.hasDst(), inst.hasDst()) << count;
+        if (inst.hasDst()) {
+            ASSERT_EQ(replay.dstReg(), inst.dst) << count;
+        }
+        ASSERT_EQ(replay.memSize(), inst.memSize) << count;
+        if (inst.isLoad || inst.isStore) {
+            ASSERT_EQ(replay.memAddr(), dyn.memAddr) << count;
+        }
+        ASSERT_EQ(replay.isBranch(), inst.isBranch) << count;
+        if (inst.isBranch) {
+            ASSERT_EQ(replay.taken(), dyn.taken) << count;
+        }
+        ASSERT_EQ(replay.nextPc(), dyn.nextPc) << count;
+        ASSERT_EQ(replay.kind(), isa::opKindOf(inst.cls)) << count;
         ++count;
     }
-    EXPECT_FALSE(replay.next(b));
+    EXPECT_FALSE(replay.next());
+    EXPECT_EQ(count, trace.instCount());
     EXPECT_GT(count, 0u);
 }
 
 TEST(TraceBank, ReplayIdenticalToLiveExecution)
 {
-    TraceBank bank;
-    isa::Program prog = smallProgram("CCh");
-    size_t id = bank.add(prog);
-    auto replay = bank.open(id);
-    expectStreamIdentical(*replay, prog);
+    // A short ubench trace and a full-size firmware trace (over 1 Mi
+    // instructions) record through the same direct pack.
+    isa::Program progs[] = {
+        smallProgram("CCh"),
+        workload::firmware::build(workload::firmware::all()[0]),
+    };
+    for (const isa::Program &prog : progs) {
+        SCOPED_TRACE(prog.name);
+        TraceBank bank;
+        size_t id = bank.add(prog);
+        expectStreamIdentical(*bank.packed(id), prog);
 
-    // A second handle replays the same recording, not a new one.
-    auto again = bank.open(id);
-    expectStreamIdentical(*again, prog);
-    TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.recordings, 1u);
-    EXPECT_EQ(stats.replays, 2u);
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.spilledTraces, 0u);
-    EXPECT_GT(stats.residentBytes, 0u);
-}
-
-TEST(TraceBank, SpillPathReplaysIdentically)
-{
-    // A 16-instruction resident limit forces the sift spill path.
-    TraceBank bank(/*memory_resident_max_insts=*/16);
-    isa::Program prog = smallProgram("MC");
-    size_t id = bank.add(prog);
-    auto replay = bank.open(id);
-    expectStreamIdentical(*replay, prog);
-    TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 1u);
-    EXPECT_EQ(stats.residentTraces, 0u);
-    EXPECT_EQ(stats.residentBytes, 0u);
-    EXPECT_GT(stats.encodedBytes, 0u);
+        // A second replay shares the same recording, not a new one.
+        expectStreamIdentical(*bank.packed(id), prog);
+        TraceBankStats stats = bank.stats();
+        EXPECT_EQ(stats.recordings, 1u);
+        EXPECT_EQ(stats.replays, 2u);
+        EXPECT_EQ(stats.recordedInsts, bank.instCount(id));
+        EXPECT_GT(stats.packedBytes, 0u);
+    }
 }
 
 TEST(TraceBank, DeduplicatesIdenticalPrograms)
@@ -597,44 +612,36 @@ expectSameStats(const core::CoreStats &a, const core::CoreStats &b,
 
 // A racing step is many fresh candidates against ONE instance. A batch
 // of that shape must hand every candidate's cost function exactly the
-// CoreStats a direct replayRun produces, on a packed and on a spilled
-// trace, for every family. Each candidate scores through its own cost
-// domain, which records the stats it was given.
+// CoreStats a direct replayRun produces, for every family. Each
+// candidate scores through its own cost domain, which records the
+// stats it was given.
 TEST(BatchDispatch, FreshStepOnOneInstanceMatchesReplayRun)
 {
     constexpr unsigned width = 12;
     isa::Program prog = smallProgram("CCh", 6007);
-    for (bool spilled : {false, true}) {
-        EngineOptions eopts;
-        eopts.threads = 4;
-        if (spilled)
-            eopts.memoryResidentMaxInsts = 16;
-        for (core::ModelFamily family : allFamilies) {
-            std::string what = std::string(core::modelFamilyName(family))
-                + (spilled ? "/spilled" : "/packed");
-            EvalEngine engine(family, eopts);
-            size_t id = engine.addInstance(prog);
-            std::vector<core::CoreStats> seen(width);
-            BatchEvaluator batch(engine);
-            for (unsigned i = 0; i < width; ++i) {
-                size_t domain = engine.addCostDomain(
-                    [&seen, i](const core::CoreStats &stats, size_t) {
-                        seen[i] = stats;
-                        return stats.cpi();
-                    },
-                    /*cost_tag=*/100 + i);
-                batch.submitModel(family, variantConfig(i), id, domain);
-            }
-            batch.collect();
+    EngineOptions eopts;
+    eopts.threads = 4;
+    for (core::ModelFamily family : allFamilies) {
+        std::string what = core::modelFamilyName(family);
+        EvalEngine engine(family, eopts);
+        size_t id = engine.addInstance(prog);
+        std::vector<core::CoreStats> seen(width);
+        BatchEvaluator batch(engine);
+        for (unsigned i = 0; i < width; ++i) {
+            size_t domain = engine.addCostDomain(
+                [&seen, i](const core::CoreStats &stats, size_t) {
+                    seen[i] = stats;
+                    return stats.cpi();
+                },
+                /*cost_tag=*/100 + i);
+            batch.submitModel(family, variantConfig(i), id, domain);
+        }
+        batch.collect();
 
-            EngineStats stats = engine.stats();
-            EXPECT_EQ(stats.evaluations, width) << what;
-            EXPECT_EQ(stats.bank.spilledTraces, spilled ? 1u : 0u) << what;
-            for (unsigned i = 0; i < width; ++i) {
-                expectSameStats(
-                    engine.replayRun(family, variantConfig(i), id),
-                    seen[i], what + " config " + std::to_string(i));
-            }
+        EXPECT_EQ(engine.stats().evaluations, width) << what;
+        for (unsigned i = 0; i < width; ++i) {
+            expectSameStats(engine.replayRun(family, variantConfig(i), id),
+                            seen[i], what + " config " + std::to_string(i));
         }
     }
 }

@@ -1,7 +1,7 @@
-/** @file Packed-replay determinism tests: packed replay vs the generic
- *  TraceSource run for every timing family, mid-run copy/resume of the
- *  segment interface, the classify-once dispatch, TraceBank residency
- *  re-admission, and the v3 (sorted, mmap-able) EvalCache file format. */
+/** @file Packed-replay determinism tests: packed replay vs the live
+ *  TraceSource convenience run for every timing family, mid-run
+ *  copy/resume of the segment interface, the classify-once dispatch,
+ *  and the v3 (sorted, mmap-able) EvalCache file format. */
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "core/timing_model.hh"
 #include "engine/engine.hh"
 #include "engine/eval_cache.hh"
-#include "engine/trace_bank.hh"
 #include "isa/assembler.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
@@ -78,8 +77,8 @@ runPacked(ModelFamily family, const core::CoreParams &params,
 
 // ---------------------------------------------------------- bit-identity
 
-// The packed path must agree with the generic TraceSource run over the
-// same recording (the duck-typed streams share one loop).
+// The live convenience run(TraceSource&) packs its source and must
+// agree with a replay of a separately recorded pack.
 TEST(PackedReplay, PackedSerialMatchesSourceRun)
 {
     core::CoreParams params = core::publicInfoA53();
@@ -130,15 +129,14 @@ namespace
 {
 
 /**
- * Drive every stream type through runSegmentGeneric (every
- * instruction through the generic step body, no kind-tag dispatch)
- * and require exact agreement with the tagged fast path, including
- * across manual seam handoffs at awkward splits.
+ * Drive runSegmentGeneric (every instruction through the generic step
+ * body, no kind-tag dispatch) and require exact agreement with the
+ * tagged fast path, including across manual seam handoffs at awkward
+ * splits.
  */
 template <class Model>
 void
 fastVsGenericCheck(const core::CoreParams &params,
-                   const isa::Program &prog,
                    const vm::PackedTrace &trace, const std::string &what)
 {
     core::CoreStats want = Model(params).run(trace);
@@ -150,15 +148,6 @@ fastVsGenericCheck(const core::CoreParams &params,
         m.runSegmentGeneric(s, ~uint64_t{0});
         expectBitIdentical(want, m.finishRun(),
                            what + " generic/packed");
-    }
-    {
-        Model m(params);
-        m.beginRun();
-        vm::FunctionalCore live(prog);
-        vm::SourceStream s(live);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
-                           what + " generic/source");
     }
     {
         // Generic segments with mid-run copies must agree with the
@@ -179,7 +168,8 @@ fastVsGenericCheck(const core::CoreParams &params,
 
 } // namespace
 
-// Every family x every stream type x seam handoffs: the minimal
+// Every family with a fast/generic split (in-order and interval; the
+// OoO family runs one step body) x seam handoffs: the minimal
 // plain-ALU fast path and the kind-tag dispatch must be pure
 // optimizations, invisible in every counter. Workloads cover the
 // branchy, load-dominated and store-dominated dynamic mixes so every
@@ -195,11 +185,9 @@ TEST(StepDispatch, FastVsGenericAllStreamsAllFamilies)
         isa::Program prog = info->builder(9973, true);
         vm::PackedTrace trace = packProgram(prog);
         std::string tag(name);
-        fastVsGenericCheck<core::InOrderCore>(params, prog, trace,
+        fastVsGenericCheck<core::InOrderCore>(params, trace,
                                               tag + "/inorder");
-        fastVsGenericCheck<core::OooCore>(params, prog, trace,
-                                          tag + "/ooo");
-        fastVsGenericCheck<core::IntervalCore>(params, prog, trace,
+        fastVsGenericCheck<core::IntervalCore>(params, trace,
                                                tag + "/interval");
     }
 }
@@ -220,7 +208,7 @@ TEST(StepDispatch, StaticRowKindTagsGolden)
     a.str(5, 10, 8, 8);
     size_t beq_at = a.here();
     a.beq(1, 1, "out"); // always taken
-    a.add(6, 6, 6);     // never executed; still gets a static row
+    a.add(6, 6, 6);     // never executed; its row stays zero (IntAlu)
     a.label("out");
     a.halt();
     isa::Program prog = a.finish();
@@ -260,53 +248,6 @@ TEST(StepDispatch, StaticRowKindTagsGolden)
                   isa::opKindOf(static_cast<isa::OpClass>(row.cls)))
             << "static row " << i;
     }
-}
-
-// --------------------------------------------------- TraceBank residency
-
-// A spilled trace (residency budget too small at record time) is
-// re-admitted into packed residency on a later replay once the budget
-// allows, instead of re-walking the sift stream forever.
-TEST(TraceBankResidency, SpilledTraceReadmittedWhenBudgetAllows)
-{
-    engine::TraceBank bank(/*memory_resident_max_insts=*/1ull << 20,
-                           /*residency_budget_insts=*/1);
-    isa::Program prog = smallProgram("MC");
-    size_t id = bank.add(prog);
-
-    // First replay: recorded, but the 1-inst budget blocks admission.
-    EXPECT_EQ(bank.packed(id), nullptr);
-    engine::TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 1u);
-    EXPECT_EQ(stats.residentTraces, 0u);
-    EXPECT_EQ(stats.readmittedTraces, 0u);
-
-    // Budget raised: the next replay re-admits the trace.
-    bank.setResidencyBudget(0); // unlimited
-    std::shared_ptr<const vm::PackedTrace> packed = bank.packed(id);
-    ASSERT_NE(packed, nullptr);
-    EXPECT_EQ(packed->instCount(), bank.instCount(id));
-    stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 0u);
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.readmittedTraces, 1u);
-    EXPECT_GT(stats.residentBytes, 0u);
-
-    // open() now serves the packed cursor; no further re-admissions.
-    auto cursor = bank.open(id);
-    EXPECT_NE(dynamic_cast<vm::PackedCursor *>(cursor.get()), nullptr);
-    EXPECT_EQ(bank.stats().readmittedTraces, 1u);
-}
-
-// First-time admission at record time must never count as re-admission.
-TEST(TraceBankResidency, FirstAdmissionIsNotReadmission)
-{
-    engine::TraceBank bank;
-    size_t id = bank.add(smallProgram("CCh"));
-    EXPECT_NE(bank.packed(id), nullptr);
-    engine::TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.readmittedTraces, 0u);
 }
 
 // ------------------------------------------------------- EvalCache v3

@@ -1,8 +1,7 @@
 /** @file Scenario-registry tests: golden target salts, family
  *  whitelists, the M-class presets and their no-L2 modeling, per-target
- *  raced-space clamping, firmware trace sizing (spill + re-admission),
- *  the hold-out contract, and cross-target cache/checkpoint
- *  isolation. */
+ *  raced-space clamping, firmware trace sizing and packed replay, the
+ *  hold-out contract, and cross-target cache/checkpoint isolation. */
 
 #include <gtest/gtest.h>
 
@@ -18,6 +17,7 @@
 #include "ubench/ubench.hh"
 #include "validate/oracle.hh"
 #include "validate/sniper_space.hh"
+#include "vm/functional.hh"
 #include "workload/firmware.hh"
 
 using namespace raceval;
@@ -292,71 +292,31 @@ TEST(Scenario, ScaledCountCapIsParametric)
     EXPECT_GT(fw, workload::firmware::traceCap / 2);
 }
 
-TEST(Scenario, FirmwareTracesAllCrossSpillThreshold)
+TEST(Scenario, FirmwareTraceRecordsPackedAndReplaysLive)
 {
-    // traceCap / 2 == the TraceBank per-trace residency threshold, so
-    // the (cap/2, cap] landing zone guarantees the spill path for every
-    // firmware trace regardless of its nominal count.
-    engine::EngineOptions defaults;
-    EXPECT_EQ(workload::firmware::traceCap / 2,
-              defaults.memoryResidentMaxInsts);
-    ASSERT_EQ(workload::firmware::all().size(), 3u);
-    for (const auto &info : workload::firmware::all()) {
-        uint64_t scaled = ubench::scaledCount(
-            info.dynInsts, workload::firmware::traceCap);
-        EXPECT_GT(scaled, defaults.memoryResidentMaxInsts)
-            << info.name;
-        EXPECT_LE(scaled, workload::firmware::traceCap) << info.name;
-    }
-}
-
-TEST(Scenario, FirmwareTraceSpillsAndReadmits)
-{
+    // A full-size firmware trace (over 1 Mi instructions) records
+    // straight into its packed form under default engine options, and
+    // every family's engine evaluation equals that family's run over a
+    // fresh pack of live execution.
     const auto &infos = workload::firmware::all();
+    ASSERT_EQ(infos.size(), 3u);
     isa::Program prog = workload::firmware::build(infos[0]);
-
-    // Under the default per-trace threshold the trace spills: it is
-    // recorded as sift bytes only and replays through the cursor path.
-    {
-        engine::EvalEngine eng(core::ModelFamily::InOrder);
-        size_t id = eng.addInstance(prog);
-        uint64_t insts = eng.traceBank().instCount(id);
-        EXPECT_GT(insts, 1ull << 20);
-        engine::EngineStats stats = eng.stats();
-        EXPECT_EQ(stats.bank.spilledTraces, 1u);
-        EXPECT_EQ(stats.bank.residentTraces, 0u);
-    }
-
-    // With a raised per-trace threshold but a tight residency budget,
-    // the trace starts spilled, serves one replay from its sift form,
-    // and is re-admitted into packed residency once the budget opens.
-    engine::EngineOptions opts;
-    opts.memoryResidentMaxInsts = 4ull << 20;
-    opts.residencyBudgetInsts = 1ull << 20;
-    engine::EvalEngine eng(core::ModelFamily::InOrder, opts);
-    size_t id = eng.addInstance(prog);
     core::CoreParams model = core::publicInfoCortexM();
-    double spilled_cpi = eng.evaluateModel(model, id).simCpi;
-    EXPECT_EQ(eng.stats().bank.spilledTraces, 1u);
-    EXPECT_EQ(eng.stats().bank.readmittedTraces, 0u);
+    for (core::ModelFamily family :
+         {core::ModelFamily::InOrder, core::ModelFamily::Ooo,
+          core::ModelFamily::Interval}) {
+        SCOPED_TRACE(core::modelFamilyName(family));
+        engine::EvalEngine eng(family);
+        size_t id = eng.addInstance(prog);
+        EXPECT_GT(eng.traceBank().instCount(id), 1ull << 20);
+        EXPECT_GT(eng.stats().bank.packedBytes, 0u);
 
-    eng.traceBank().setResidencyBudget(0);
-    model.mispredictPenalty += 1; // force a fresh replay
-    double resident_cpi = eng.evaluateModel(model, id).simCpi;
-    engine::EngineStats stats = eng.stats();
-    EXPECT_EQ(stats.bank.spilledTraces, 0u);
-    EXPECT_EQ(stats.bank.residentTraces, 1u);
-    EXPECT_GE(stats.bank.readmittedTraces, 1u);
-
-    // Both replay forms are the same recorded stream: re-evaluating the
-    // original model out of the packed form must hit the cache (same
-    // key), and a fresh packed replay of it must agree bit-for-bit.
-    uint64_t evals = stats.evaluations;
-    EXPECT_DOUBLE_EQ(eng.evaluateModel(core::publicInfoCortexM(), id)
-                         .simCpi,
-                     spilled_cpi);
-    EXPECT_EQ(eng.stats().evaluations, evals);
-    EXPECT_NE(spilled_cpi, resident_cpi);
+        vm::FunctionalCore live(prog);
+        core::CoreStats want =
+            core::makeTimingModel(family, model)->run(live);
+        EXPECT_EQ(eng.evaluateModel(family, model, id).simCpi,
+                  want.cpi());
+    }
 }
 
 // ---------------------------------------------------- hold-out contract
