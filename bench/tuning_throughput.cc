@@ -101,7 +101,7 @@ std::unique_ptr<engine::EvalEngine>
 makeEngine()
 {
     Task &t = task();
-    auto eng = std::make_unique<engine::EvalEngine>(false);
+    auto eng = std::make_unique<engine::EvalEngine>(core::ModelFamily::InOrder);
     for (const isa::Program &prog : t.programs)
         eng->addInstance(prog);
     eng->setModelFn([&t](const tuner::Configuration &config) {

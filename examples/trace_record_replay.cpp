@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     // The same workflow, managed: the engine's TraceBank records each
     // registered instance once; evaluateModel() replays and caches.
-    engine::EvalEngine eng(/*out_of_order=*/false);
+    engine::EvalEngine eng(core::ModelFamily::InOrder);
     size_t instance = eng.addInstance(prog);
     for (unsigned penalty : {4u, 12u, 4u /* cache hit */}) {
         core::CoreParams p = core::publicInfoA53();

@@ -296,10 +296,9 @@ CampaignRunner::run()
     ran = true;
     auto start = std::chrono::steady_clock::now();
 
-    // Map the shared warm-start file before any task races: every
-    // racer thread binary-searches the same read-only pages.
+    // Load the warm-start file before any task races.
     if (!opts.warmStartPath.empty())
-        engine.mapWarmFile(opts.warmStartPath);
+        engine.loadCache(opts.warmStartPath);
 
     CampaignResult out;
     out.tasks.resize(tasks.size());

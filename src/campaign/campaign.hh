@@ -101,12 +101,12 @@ struct CampaignOptions
      *  re-raced; the file is rewritten after every task completion. */
     std::string checkpointPath;
     /** Warm-start cache file ("" = none): a v3 EvalCache file (see
-     *  EvalEngine::saveCache) mmap'd read-only into the shared engine
-     *  at run() start, so the whole task fleet serves repeat
-     *  experiments from one page-cache copy without loading it onto
-     *  the heap. The campaign never writes this file; produce it with
-     *  saveCache() from a previous run. Missing or incompatible files
-     *  warn and race cold. */
+     *  EvalEngine::saveCache) loaded into the shared engine with
+     *  EvalEngine::loadCache at run() start, so every task serves
+     *  repeat experiments from the cache. The campaign never writes
+     *  this file; produce it with saveCache() from a previous run.
+     *  Missing files race cold; incompatible ones warn and race
+     *  cold. */
     std::string warmStartPath;
     /** Narrate task completions via inform(). */
     bool verbose = false;

@@ -37,21 +37,18 @@ EngineStats::summary() const
         static_cast<double>(bank.packedBytes) / (1024.0 * 1024.0));
     out += strprintf(
         "        cache: %llu hits / %llu misses (%.1f%% hit rate), "
-        "%llu entries, %llu evictions\n",
+        "%llu entries\n",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
         100.0 * cache.hitRate(),
-        static_cast<unsigned long long>(cache.entries),
-        static_cast<unsigned long long>(cache.evictions));
+        static_cast<unsigned long long>(cache.entries));
     out += strprintf(
-        "        %llu requests -> %llu fresh evals (%llu replays, "
-        "%llu warm-file hits) in "
+        "        %llu requests -> %llu fresh evals (%llu replays) in "
         "%.2f s = %.0f experiments/s; %llu batches "
         "(%llu submitted, %llu deduplicated)",
         static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(evaluations),
         static_cast<unsigned long long>(bank.replays),
-        static_cast<unsigned long long>(warmFileHits),
         evalSeconds, experimentsPerSecond(),
         static_cast<unsigned long long>(batches),
         static_cast<unsigned long long>(batchSubmissions),
@@ -78,10 +75,8 @@ EngineStats::json() const
         .field("cache_misses", cache.misses)
         .field("cache_hit_rate", cache.hitRate())
         .field("cache_entries", cache.entries)
-        .field("cache_evictions", cache.evictions)
         .field("requests", requests)
         .field("fresh_evals", evaluations)
-        .field("warm_file_hits", warmFileHits)
         .field("eval_seconds", evalSeconds)
         .field("experiments_per_s", experimentsPerSecond())
         .field("batches", batches)
@@ -108,10 +103,8 @@ EngineStats::samples() const
         {"cache_misses", n(cache.misses)},
         {"cache_hit_rate", cache.hitRate()},
         {"cache_entries", n(cache.entries)},
-        {"cache_evictions", n(cache.evictions)},
         {"requests", n(requests)},
         {"fresh_evals", n(evaluations)},
-        {"warm_file_hits", n(warmFileHits)},
         {"eval_seconds", evalSeconds},
         {"experiments_per_s", experimentsPerSecond()},
         {"batches", n(batches)},
@@ -126,9 +119,7 @@ EngineStats::samples() const
 // ------------------------------------------------------------ EvalEngine
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
-    : fam(family),
-      cache(options.cacheShards, options.cacheMaxEntriesPerShard),
-      pool(options.threads)
+    : fam(family), pool(options.threads)
 {
     // Export this engine's aggregate stats through the registry; the
     // heartbeat reporter and the metrics blobs pull them at snapshot
@@ -200,57 +191,12 @@ EvalEngine::replayRun(core::ModelFamily family,
     return core::makeTimingModel(family, model)->run(*packed);
 }
 
-uint64_t
-EvalEngine::programFingerprint(size_t instance) const
-{
-    std::lock_guard<std::mutex> lock(fpMutex);
-    if (instance >= instanceFps.size())
-        instanceFps.resize(instance + 1, 0);
-    if (instanceFps[instance] == 0)
-        instanceFps[instance] = fingerprint(bank.program(instance));
-    return instanceFps[instance];
-}
-
-bool
-EvalEngine::warmLookup(core::ModelFamily family,
-                       const core::CoreParams &model, size_t instance,
-                       size_t domain, EvalValue &out)
-{
-    // A mapped warm file answers before any simulation runs. Its keys
-    // carry the program fingerprint (not the bank-local id), mirroring
-    // saveCache()/loadCache().
-    if (!warm)
-        return false;
-    EvalKey disk_key{modelKey(family, model, instance, domain).model,
-                     programFingerprint(instance)};
-    if (!warm->lookup(disk_key, out))
-        return false;
-    ++warmFileHitCount;
-    return true;
-}
-
-EvalValue
-EvalEngine::scoreRun(const core::CoreStats &run, size_t instance,
-                     size_t domain)
-{
-    const SimCostFn &cost = domains[domain].fn;
-    EvalValue value;
-    value.simCpi = run.cpi();
-    value.cost = cost ? cost(run, instance) : value.simCpi;
-    ++evaluations;
-    return value;
-}
-
 EvalValue
 EvalEngine::computeFresh(core::ModelFamily family,
                          const core::CoreParams &model, size_t instance,
                          size_t domain)
 {
     RV_SPAN("engine.eval", static_cast<uint64_t>(instance));
-    EvalValue served;
-    if (warmLookup(family, model, instance, domain, served))
-        return served;
-
     auto fresh_start = std::chrono::steady_clock::now();
     core::CoreStats run = replayRun(family, model, instance);
     instsSimulatedCount += run.instructions;
@@ -260,7 +206,12 @@ EvalEngine::computeFresh(core::ModelFamily family,
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - fresh_start)
                 .count()));
-    return scoreRun(run, instance, domain);
+    const SimCostFn &cost = domains[domain].fn;
+    EvalValue value;
+    value.simCpi = run.cpi();
+    value.cost = cost ? cost(run, instance) : value.simCpi;
+    ++evaluations;
+    return value;
 }
 
 void
@@ -325,14 +276,6 @@ EvalEngine::evaluateModel(core::ModelFamily family,
     return value;
 }
 
-bool
-EvalEngine::isCached(const tuner::Configuration &config,
-                     size_t instance) const
-{
-    return cache.contains(
-        modelKey(fam, materialize(config), instance, 0));
-}
-
 std::vector<double>
 EvalEngine::evaluateMany(const std::vector<tuner::EvalPair> &pairs)
 {
@@ -380,7 +323,7 @@ EvalEngine::saveCache(const std::string &path) const
     // programs -- in any order, with any extras. Still-pending
     // warm-start entries (programs this run never registered) are
     // written back untouched rather than dropped.
-    EvalCache on_disk(1);
+    EvalCache on_disk;
     for (const auto &[key, value] : cache.entries()) {
         on_disk.insert(
             EvalKey{key.model, fingerprint(bank.program(key.instance))},
@@ -400,7 +343,7 @@ size_t
 EvalEngine::loadCache(const std::string &path)
 {
     RV_SPAN("cache.load");
-    EvalCache from_disk(1);
+    EvalCache from_disk;
     bool compatible = true;
     if (from_disk.load(path, persistDigest(), &compatible) == 0) {
         warmRefused = !compatible;
@@ -427,21 +370,6 @@ EvalEngine::loadCache(const std::string &path)
     return accepted;
 }
 
-size_t
-EvalEngine::mapWarmFile(const std::string &path)
-{
-    RV_SPAN("cache.map");
-    std::string error;
-    std::shared_ptr<const MappedEvalFile> mapped =
-        MappedEvalFile::open(path, persistDigest(), &error);
-    if (!mapped) {
-        warn("engine: warm file not mapped: %s", error.c_str());
-        return 0;
-    }
-    warm = std::move(mapped);
-    return warm->size();
-}
-
 EngineStats
 EvalEngine::stats() const
 {
@@ -450,7 +378,6 @@ EvalEngine::stats() const
     out.cache = cache.stats();
     out.requests = requests.load();
     out.evaluations = evaluations.load();
-    out.warmFileHits = warmFileHitCount.load();
     out.batches = batches.load();
     out.batchSubmissions = batchSubmissions.load();
     out.batchDeduplicated = batchDeduplicated.load();
@@ -538,22 +465,9 @@ BatchEvaluator::collect()
         // experimentsPerSecond() reports real throughput rather than
         // summed per-thread time.
         auto start = std::chrono::steady_clock::now();
-        // Mapped warm-file answers first: they need no trace.
-        std::vector<size_t> pending;
-        for (size_t s : fresh) {
-            Slot &slot = slots[s];
-            if (engine.warmLookup(slot.family, slot.model, slot.instance,
-                                  slot.domain, slot.value)) {
-                engine.cache.insert(slot.key, slot.value);
-                slot.served = true;
-            } else {
-                pending.push_back(s);
-            }
-        }
-        if (!pending.empty())
-            engine.recordAhead();
-        engine.pool.parallelFor(pending.size(), [&](size_t k) {
-            runSlot(slots[pending[k]]);
+        engine.recordAhead();
+        engine.pool.parallelFor(fresh.size(), [&](size_t k) {
+            runSlot(slots[fresh[k]]);
         });
         engine.chargeWall(start);
         RV_HISTOGRAM_RECORD(

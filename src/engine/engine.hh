@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -49,10 +48,6 @@ struct EngineOptions
 {
     /** Worker threads for batch evaluation (0 = hardware). */
     unsigned threads = 0;
-    /** EvalCache lock shards. */
-    size_t cacheShards = 8;
-    /** Per-shard entry cap (0 = unbounded). */
-    size_t cacheMaxEntriesPerShard = 0;
 };
 
 /** Aggregate engine report, surfaced by the drivers. */
@@ -62,12 +57,11 @@ struct EngineStats
     EvalCacheStats cache;
     uint64_t requests = 0;    //!< evaluation requests served
     uint64_t evaluations = 0; //!< fresh simulations actually run
-    uint64_t warmFileHits = 0; //!< evals served by the mapped warm file
     uint64_t batches = 0;     //!< collected batches
     uint64_t batchSubmissions = 0; //!< tickets submitted to batches
     uint64_t batchDeduplicated = 0; //!< tickets folded into another
-    /** Dynamic instructions stepped by fresh simulations (cache and
-     *  warm-file hits replay nothing and add nothing). */
+    /** Dynamic instructions stepped by fresh simulations (cache hits
+     *  replay nothing and add nothing). */
     uint64_t instsSimulated = 0;
     /** Wall time spent evaluating: each batch wave charges its wall
      *  clock once, however many workers ran it. */
@@ -154,14 +148,6 @@ class EvalEngine : public tuner::CostEvaluator
     explicit EvalEngine(core::ModelFamily family,
                         EngineOptions options = {});
 
-    /** Legacy two-family constructor (OoO vs in-order). */
-    explicit EvalEngine(bool out_of_order, EngineOptions options = {})
-        : EvalEngine(out_of_order ? core::ModelFamily::Ooo
-                                  : core::ModelFamily::InOrder,
-                     options)
-    {
-    }
-
     /**
      * Register a benchmark instance (deduplicated by content).
      *
@@ -193,10 +179,6 @@ class EvalEngine : public tuner::CostEvaluator
 
     /** @return the default model family (construction-time choice). */
     core::ModelFamily modelFamily() const { return fam; }
-
-    /** @return true when the default family is the out-of-order model
-     *  (legacy two-family probe). */
-    bool outOfOrder() const { return fam == core::ModelFamily::Ooo; }
 
     /**
      * Set the configuration materializer. Required before any
@@ -283,10 +265,6 @@ class EvalEngine : public tuner::CostEvaluator
                               const core::CoreParams &model,
                               size_t instance);
 
-    /** @return true when the pair is already in the EvalCache. */
-    bool isCached(const tuner::Configuration &config,
-                  size_t instance) const;
-
     // tuner::CostEvaluator: the racing hot path.
     std::vector<double>
     evaluateMany(const std::vector<tuner::EvalPair> &pairs) override;
@@ -322,34 +300,10 @@ class EvalEngine : public tuner::CostEvaluator
      *  incompatible (pre-family) cache format -- do not saveCache()
      *  over it. */
     bool warmStartRefused() const { return warmRefused; }
-
-    /**
-     * Map a previously saved cache file read-only (v3 format) and
-     * serve fresh evaluations from it before simulating.
-     *
-     * Unlike loadCache(), nothing is copied onto the heap: the file is
-     * mmap'd and binary-searched in place, so a whole campaign fleet
-     * of engines (threads or processes) shares one physical copy of
-     * the warm results. Keys resolve through program fingerprints,
-     * exactly as for loadCache(). Map before evaluation starts;
-     * mapping is not synchronized against concurrent evaluation.
-     *
-     * @return records mapped (0 on failure -- missing file, v2 or
-     *         foreign format, digest mismatch -- with a warning).
-     */
-    size_t mapWarmFile(const std::string &path);
-
-    /** @return the active warm-file mapping (null when none). */
-    std::shared_ptr<const MappedEvalFile>
-    warmFile() const
-    {
-        return warm;
-    }
     /// @}
 
     TraceBank &traceBank() { return bank; }
     const TraceBank &traceBank() const { return bank; }
-    EvalCache &evalCache() { return cache; }
     ThreadPool &threadPool() { return pool; }
 
     EngineStats stats() const;
@@ -370,21 +324,10 @@ class EvalEngine : public tuner::CostEvaluator
     /** Apply the model fn (asserts one is set). */
     core::CoreParams materialize(const tuner::Configuration &config)
         const;
-    /** Record-replay-score one experiment; consults the mapped warm
-     *  file first. */
+    /** Replay and score one experiment. */
     EvalValue computeFresh(core::ModelFamily family,
                            const core::CoreParams &model,
                            size_t instance, size_t domain);
-    /** Consult the mapped warm file. @return true when served. */
-    bool warmLookup(core::ModelFamily family,
-                    const core::CoreParams &model, size_t instance,
-                    size_t domain, EvalValue &out);
-    /** Score a finished replay through a domain's cost metric. */
-    EvalValue scoreRun(const core::CoreStats &run, size_t instance,
-                       size_t domain);
-    /** Content fingerprint of an instance's program (memoized; the
-     *  instance half of on-disk cache keys). */
-    uint64_t programFingerprint(size_t instance) const;
     /** Add wall time since @p start to the evaluation clock. */
     void chargeWall(std::chrono::steady_clock::time_point start);
     /**
@@ -414,15 +357,8 @@ class EvalEngine : public tuner::CostEvaluator
     /** Instances marked held out (never raced); see markHeldOut(). */
     std::vector<bool> heldOutFlags;
 
-    /** Read-only mapped warm file (see mapWarmFile). */
-    std::shared_ptr<const MappedEvalFile> warm;
-    /** Memoized program fingerprints by instance id. */
-    mutable std::mutex fpMutex;
-    mutable std::vector<uint64_t> instanceFps;
-
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> evaluations{0};
-    std::atomic<uint64_t> warmFileHitCount{0};
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> batchSubmissions{0};
     std::atomic<uint64_t> batchDeduplicated{0};

@@ -13,8 +13,8 @@
 #ifndef RACEVAL_ENGINE_EVAL_CACHE_HH
 #define RACEVAL_ENGINE_EVAL_CACHE_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -43,10 +43,9 @@ struct EvalValue
 
 /**
  * One record of a persisted cache file. The v3 format sorts records
- * ascending by (model, instance), which is what lets MappedEvalFile
- * binary-search the file in place instead of loading it onto the heap.
- * Fixed little-endian layout on every target we build for; the cache
- * file is a warm-start hint, not an archive.
+ * ascending by (model, instance), so identical caches save to
+ * identical bytes. Fixed little-endian layout on every target we build
+ * for; the cache file is a warm-start hint, not an archive.
  */
 struct EvalFileRecord
 {
@@ -65,7 +64,6 @@ struct EvalCacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
-    uint64_t evictions = 0;
     uint64_t entries = 0; //!< current resident entries
 
     /** @return hits / (hits + misses), 0 when empty. */
@@ -81,34 +79,20 @@ struct EvalCacheStats
 /**
  * The sharded result cache.
  *
- * Shard count is fixed at construction; keys map to shards by mixed
- * fingerprint, so concurrent workers contend only when they touch the
- * same shard. When a per-shard capacity is set, inserts that overflow
- * evict an arbitrary quarter of the shard (epoch eviction: cheap, no
- * LRU bookkeeping on the hit path).
+ * Keys map to a fixed number of lock shards by mixed fingerprint, so
+ * concurrent workers contend only when they touch the same shard.
+ * Entries are never evicted: a race's working set is bounded by its
+ * experiment budget.
  */
 class EvalCache
 {
   public:
-    /**
-     * @param num_shards lock shards (rounded up to at least 1).
-     * @param max_entries_per_shard 0 = unbounded.
-     */
-    explicit EvalCache(size_t num_shards = 8,
-                       size_t max_entries_per_shard = 0);
-
     /** Look up a key; counts a hit or a miss. */
     bool lookup(const EvalKey &key, EvalValue &out);
-
-    /** @return true when present (no counter side effects). */
-    bool contains(const EvalKey &key) const;
 
     /** Insert (first write wins; re-inserts of a present key are
      *  no-ops, keeping deterministic first-result semantics). */
     void insert(const EvalKey &key, const EvalValue &value);
-
-    /** Drop every entry (counters survive). */
-    void clear();
 
     /** @return current entry count. */
     size_t size() const;
@@ -137,7 +121,8 @@ class EvalCache
      *
      * Missing files are not an error (a cold start); a digest
      * mismatch (cache saved by a differently-shaped engine) warns and
-     * loads nothing.
+     * loads nothing. A file cut short loads the whole records before
+     * the cut, however many its header claims.
      *
      * @param[out] compatible when given, set to false only when the
      *        file exists but belongs to someone else (bad magic or
@@ -168,65 +153,13 @@ class EvalCache
         uint64_t hits = 0;
         uint64_t misses = 0;
         uint64_t insertions = 0;
-        uint64_t evictions = 0;
     };
 
+    static constexpr size_t numShards = 8;
+
     Shard &shardFor(const EvalKey &key);
-    const Shard &shardFor(const EvalKey &key) const;
 
-    size_t maxPerShard;
-    std::vector<std::unique_ptr<Shard>> shards;
-};
-
-/**
- * A persisted v3 cache file mapped read-only.
- *
- * The file is mmap'd and binary-searched in place: nothing is copied
- * onto the heap, pages fault in on demand, and any number of engines
- * (threads or processes -- a whole campaign fleet) can share one
- * physical copy of the page cache. Lookups are const and lock-free,
- * so concurrent readers need no synchronization.
- *
- * Only the v3 (sorted) format can be mapped; v2 files are refused
- * with a clear error since their records are in hash order and cannot
- * be searched in place. Re-save with this version to upgrade.
- */
-class MappedEvalFile
-{
-  public:
-    /**
-     * Map a cache file.
-     *
-     * @param path the file (must be v3 format).
-     * @param digest compatibility stamp, as for EvalCache::load().
-     * @param[out] error when given, filled with the failure reason.
-     * @return the mapping, or null on any failure (missing file, v2 or
-     *         foreign format, digest mismatch, truncation).
-     */
-    static std::shared_ptr<const MappedEvalFile>
-    open(const std::string &path, uint64_t digest = 0,
-         std::string *error = nullptr);
-
-    ~MappedEvalFile();
-    MappedEvalFile(const MappedEvalFile &) = delete;
-    MappedEvalFile &operator=(const MappedEvalFile &) = delete;
-
-    /** Binary-search a key; thread-safe (no mutation, no locks). */
-    bool lookup(const EvalKey &key, EvalValue &out) const;
-
-    /** @return record count. */
-    size_t size() const { return count; }
-
-    /** @return record i in (model, instance) order. */
-    const EvalFileRecord &record(size_t i) const { return records[i]; }
-
-  private:
-    MappedEvalFile() = default;
-
-    void *base = nullptr;   //!< whole-file mapping
-    size_t mappedBytes = 0;
-    const EvalFileRecord *records = nullptr;
-    size_t count = 0;
+    std::array<Shard, numShards> shards;
 };
 
 } // namespace raceval::engine

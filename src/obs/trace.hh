@@ -21,9 +21,8 @@
  * taxonomy): "<subsystem>.<operation>", lowercase, static string
  * literals only -- the ring stores the pointer, not a copy. Current
  * spans: race.run / race.iteration / race.step, engine.batch /
- * engine.eval, replay.run, bank.record, cache.save / cache.load /
- * cache.map, campaign.task / campaign.checkpoint;
- * instants: heartbeat.tick.
+ * engine.eval, replay.run, bank.record, cache.save / cache.load,
+ * campaign.task / campaign.checkpoint; instants: heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
  */

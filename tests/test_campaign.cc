@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "campaign/campaign.hh"
 #include "campaign/checkpoint.hh"
@@ -54,7 +57,7 @@ makeModelFn(const tuner::ParameterSpace &space)
 std::unique_ptr<engine::EvalEngine>
 makeEngine()
 {
-    auto eng = std::make_unique<engine::EvalEngine>(false);
+    auto eng = std::make_unique<engine::EvalEngine>(core::ModelFamily::InOrder);
     for (const char *name : {"CCh", "EI", "MM", "STc"})
         eng->addInstance(smallProgram(name));
     return eng;
@@ -86,6 +89,15 @@ addStandardTasks(CampaignRunner &runner,
     runner.addTask(makeTask("sub1/seed2", space, model_fn, {0, 1}, 22));
     runner.addTask(makeTask("sub2/seed1", space, model_fn, {2, 3}, 11));
     runner.addTask(makeTask("sub2/seed2", space, model_fn, {2, 3}, 22));
+}
+
+/** @return a whole file's bytes ("" when unreadable). */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 void
@@ -169,6 +181,34 @@ TEST(Campaign, WarmCacheAndSoloRunsKeepTrajectories)
     solo.addTask(makeTask("sub2/seed2", space, model_fn, {2, 3}, 22));
     CampaignResult alone = solo.run();
     expectSameRace(alone.tasks[0].result, cold.tasks[3].result);
+}
+
+TEST(Campaign, WarmStartPathServesEveryExperimentAndNeverWrites)
+{
+    tuner::ParameterSpace space = makeSpace();
+    engine::ModelFn model_fn = makeModelFn(space);
+    std::string path = ::testing::TempDir() + "/campaign-warm.bin";
+
+    auto cold_engine = makeEngine();
+    CampaignRunner cold_runner(*cold_engine, CampaignOptions{});
+    addStandardTasks(cold_runner, space, model_fn);
+    CampaignResult cold = cold_runner.run();
+    ASSERT_GT(cold_engine->saveCache(path), 0u);
+    std::string saved = fileBytes(path);
+
+    // A fresh engine warm-started from the file replays nothing and
+    // reproduces every trajectory; the campaign only reads the file.
+    auto warm_engine = makeEngine();
+    CampaignOptions warm_opts;
+    warm_opts.warmStartPath = path;
+    CampaignRunner warm_runner(*warm_engine, warm_opts);
+    addStandardTasks(warm_runner, space, model_fn);
+    CampaignResult warm = warm_runner.run();
+    for (size_t i = 0; i < 4; ++i)
+        expectSameRace(cold.tasks[i].result, warm.tasks[i].result);
+    EXPECT_EQ(warm_engine->stats().evaluations, 0u);
+    EXPECT_EQ(fileBytes(path), saved);
+    std::remove(path.c_str());
 }
 
 TEST(Campaign, CostDomainsDoNotAlias)
@@ -471,7 +511,7 @@ TEST(Campaign, TaskFingerprintTracksDefinition)
 
     // The engine's timing-model kind too: CoreParams content carries
     // no in-order/OoO distinction, so the fingerprint must.
-    engine::EvalEngine ooo_engine(true);
+    engine::EvalEngine ooo_engine(core::ModelFamily::Ooo);
     for (const char *name : {"CCh", "EI", "MM", "STc"})
         ooo_engine.addInstance(smallProgram(name));
     EXPECT_NE(taskFingerprint(ooo_engine, base), fp);

@@ -125,15 +125,13 @@ TEST(TraceBank, InstCountMatchesLiveExecution)
     EXPECT_EQ(bank.instCount(bank.add(prog)), live_count);
 }
 
-TEST(EvalCache, HitMissAndContains)
+TEST(EvalCache, HitMissAndInsert)
 {
-    EvalCache cache(4);
+    EvalCache cache;
     EvalKey key{42, 7};
     EvalValue out;
     EXPECT_FALSE(cache.lookup(key, out));
-    EXPECT_FALSE(cache.contains(key));
     cache.insert(key, EvalValue{1.5, 2.5});
-    EXPECT_TRUE(cache.contains(key));
     ASSERT_TRUE(cache.lookup(key, out));
     EXPECT_DOUBLE_EQ(out.cost, 1.5);
     EXPECT_DOUBLE_EQ(out.simCpi, 2.5);
@@ -148,7 +146,7 @@ TEST(EvalCache, HitMissAndContains)
 
 TEST(EvalCache, FirstWriteWins)
 {
-    EvalCache cache(1);
+    EvalCache cache;
     EvalKey key{1, 1};
     cache.insert(key, EvalValue{1.0, 1.0});
     cache.insert(key, EvalValue{9.0, 9.0});
@@ -158,26 +156,15 @@ TEST(EvalCache, FirstWriteWins)
     EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
-TEST(EvalCache, BoundedShardEvicts)
-{
-    EvalCache cache(/*num_shards=*/1, /*max_entries_per_shard=*/64);
-    for (uint64_t i = 0; i < 1000; ++i)
-        cache.insert(EvalKey{i, i}, EvalValue{double(i), 0.0});
-    EvalCacheStats stats = cache.stats();
-    EXPECT_LE(stats.entries, 64u);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_EQ(stats.insertions - stats.evictions, stats.entries);
-}
-
 TEST(EvalCache, PersistenceRoundTrip)
 {
     std::string path = ::testing::TempDir() + "/evalcache.bin";
-    EvalCache cache(4);
+    EvalCache cache;
     for (uint64_t i = 0; i < 100; ++i)
         cache.insert(EvalKey{i * 31, i}, EvalValue{0.5 * i, 2.0 * i});
     EXPECT_EQ(cache.save(path), 100u);
 
-    EvalCache warm(8); // different shard count must not matter
+    EvalCache warm;
     EXPECT_EQ(warm.load(path), 100u);
     EXPECT_EQ(warm.size(), 100u);
     EvalValue out;
@@ -193,10 +180,10 @@ TEST(EvalCache, PersistenceRoundTrip)
     // A digest mismatch (cache saved by a differently-shaped engine)
     // must refuse the file rather than serve aliased results.
     setQuiet(true);
-    EvalCache stamped(2);
+    EvalCache stamped;
     stamped.insert(EvalKey{1, 2}, EvalValue{3.0, 4.0});
     stamped.save(path, /*digest=*/0xa53);
-    EvalCache other(2);
+    EvalCache other;
     EXPECT_EQ(other.load(path, /*digest=*/0xa72), 0u);
     EXPECT_EQ(other.size(), 0u);
     EXPECT_EQ(other.load(path, 0xa53), 1u);
@@ -219,7 +206,7 @@ TEST(Fingerprint, ModelContentSensitivity)
 
 TEST(Engine, RepeatEvaluationsAreCacheHits)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t instance = engine.addInstance(smallProgram("STc", 6000));
     core::CoreParams model = core::publicInfoA53();
 
@@ -239,7 +226,7 @@ TEST(Engine, RepeatEvaluationsAreCacheHits)
 
 TEST(Engine, BatchDeduplicatesIdenticalKeys)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t i0 = engine.addInstance(smallProgram("EI", 6000));
     size_t i1 = engine.addInstance(smallProgram("MM", 6000));
 
@@ -288,7 +275,7 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
 
     EvalValue val_a, val_b;
     {
-        EvalEngine eng(false);
+        EvalEngine eng(core::ModelFamily::InOrder);
         size_t ia = eng.addInstance(prog_a);
         size_t ib = eng.addInstance(prog_b);
         val_a = eng.evaluateModel(model, ia);
@@ -299,7 +286,7 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
     // New engine, reversed registration order, one program registered
     // only after the load: persisted keys are program-content based,
     // so everything must still resolve to cache hits.
-    EvalEngine warm(false);
+    EvalEngine warm(core::ModelFamily::InOrder);
     size_t ib = warm.addInstance(prog_b);
     EXPECT_EQ(warm.loadCache(path), 2u);
     EXPECT_DOUBLE_EQ(warm.evaluateModel(model, ib).simCpi,
@@ -313,7 +300,7 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
     // Keys are family-salted, so an engine of another model family
     // accepts the same file -- but its own evaluations are all fresh
     // (the in-order entries never alias into the OoO family).
-    EvalEngine ooo(true);
+    EvalEngine ooo(core::ModelFamily::Ooo);
     size_t oa = ooo.addInstance(prog_a);
     EXPECT_EQ(ooo.loadCache(path), 2u);
     // The loaded entries never alias into the OoO family: this
@@ -373,7 +360,7 @@ TEST(Engine, FamiliesNeverAliasInSharedWarmCache)
 
 TEST(Engine, CostTagSeparatesMetrics)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t instance = engine.addInstance(smallProgram("CCe", 5000));
     core::CoreParams model = core::publicInfoA53();
 
@@ -438,7 +425,7 @@ TEST(Engine, RacerBitIdenticalWithEngineSwappedIn)
     tuner::RaceResult live = live_racer.run();
 
     // Path B: the engine -- record-once trace replay + EvalCache.
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     for (const isa::Program &prog : programs)
         engine.addInstance(prog);
     engine.setModelFn(materialize);
@@ -541,7 +528,7 @@ TEST(Engine, EveryStrategyBitIdenticalLiveVsEngineColdVsWarm)
         EXPECT_LE(live.experimentsUsed, opts.maxExperiments)
             << info.name;
 
-        EvalEngine engine(false);
+        EvalEngine engine(core::ModelFamily::InOrder);
         for (const isa::Program &prog : programs)
             engine.addInstance(prog);
         engine.setModelFn(materialize);

@@ -1,13 +1,11 @@
 /** @file Packed-replay determinism tests: packed replay vs the live
  *  TraceSource convenience run for every timing family, mid-run
  *  copy/resume of the segment interface, the classify-once dispatch,
- *  and the v3 (sorted, mmap-able) EvalCache file format. */
+ *  and the v3 (sorted) EvalCache file format. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
-#include <thread>
 #include <unistd.h>
 
 #include "core/inorder.hh"
@@ -255,81 +253,96 @@ TEST(StepDispatch, StaticRowKindTagsGolden)
 namespace
 {
 
-/** Deterministic synthetic cache content. */
-engine::EvalCache
-syntheticCache(size_t entries)
+/** Fill a cache with deterministic synthetic content. */
+void
+fillSynthetic(engine::EvalCache &cache, size_t entries)
 {
-    engine::EvalCache cache(4);
     for (size_t i = 0; i < entries; ++i) {
         // Scramble key order so the save path genuinely has to sort.
         uint64_t model = (i * 0x9e3779b97f4a7c15ull) ^ 0x5bd1e995ull;
         engine::EvalKey key{model, i % 7};
         cache.insert(key, engine::EvalValue{0.25 * i, 1.0 + 0.5 * i});
     }
-    return cache;
+}
+
+/** A cache file header: magic (RVECACH<version>), digest, claimed
+ *  record count. */
+void
+writeHeader(std::FILE *file, char version, uint64_t digest,
+            uint64_t count)
+{
+    const char magic[8] = {'R', 'V', 'E', 'C', 'A', 'C', 'H', version};
+    ASSERT_EQ(std::fwrite(magic, 1, 8, file), 8u);
+    ASSERT_EQ(std::fwrite(&digest, 8, 1, file), 1u);
+    ASSERT_EQ(std::fwrite(&count, 8, 1, file), 1u);
+}
+
+/** Every whole record of a saved file, in file order. */
+std::vector<engine::EvalFileRecord>
+readRecords(const char *path)
+{
+    std::vector<engine::EvalFileRecord> records;
+    std::FILE *file = std::fopen(path, "rb");
+    EXPECT_NE(file, nullptr);
+    if (!file)
+        return records;
+    EXPECT_EQ(std::fseek(file, 24, SEEK_SET), 0);
+    engine::EvalFileRecord record;
+    while (std::fread(&record, sizeof(record), 1, file) == 1)
+        records.push_back(record);
+    std::fclose(file);
+    return records;
 }
 
 const char *testCachePath = "test_replay_cache.bin";
 
 } // namespace
 
-TEST(EvalCacheV3, MappedLoadEqualsHeapLoadEntryForEntry)
+TEST(EvalCacheV3, SaveSortsRecordsAndLoadRoundTrips)
 {
-    engine::EvalCache original = syntheticCache(257);
+    engine::EvalCache original;
+    fillSynthetic(original, 257);
     ASSERT_EQ(original.save(testCachePath, /*digest=*/7), 257u);
 
-    engine::EvalCache heap(4);
-    bool compatible = false;
-    ASSERT_EQ(heap.load(testCachePath, 7, &compatible), 257u);
-    EXPECT_TRUE(compatible);
-
-    std::string error;
-    auto mapped = engine::MappedEvalFile::open(testCachePath, 7, &error);
-    ASSERT_NE(mapped, nullptr) << error;
-    ASSERT_EQ(mapped->size(), 257u);
-
-    // Records are sorted by (model, instance) -- the binary-search
-    // precondition.
-    for (size_t i = 1; i < mapped->size(); ++i) {
-        const engine::EvalFileRecord &a = mapped->record(i - 1);
-        const engine::EvalFileRecord &b = mapped->record(i);
+    // Records are sorted by (model, instance).
+    std::vector<engine::EvalFileRecord> records =
+        readRecords(testCachePath);
+    ASSERT_EQ(records.size(), 257u);
+    for (size_t i = 1; i < records.size(); ++i) {
+        const engine::EvalFileRecord &a = records[i - 1];
+        const engine::EvalFileRecord &b = records[i];
         EXPECT_TRUE(a.model < b.model
                     || (a.model == b.model && a.instance < b.instance))
             << "records out of order at " << i;
     }
 
-    // Entry-for-entry: every original entry answers identically from
-    // the heap load and the mapping.
+    // Entry-for-entry: every original entry answers identically after
+    // a load, and absent keys miss.
+    engine::EvalCache loaded;
+    bool compatible = false;
+    ASSERT_EQ(loaded.load(testCachePath, 7, &compatible), 257u);
+    EXPECT_TRUE(compatible);
     for (const auto &[key, value] : original.entries()) {
-        engine::EvalValue from_heap, from_map;
-        ASSERT_TRUE(heap.lookup(key, from_heap));
-        ASSERT_TRUE(mapped->lookup(key, from_map));
-        EXPECT_EQ(value.cost, from_heap.cost);
-        EXPECT_EQ(value.simCpi, from_heap.simCpi);
-        EXPECT_EQ(value.cost, from_map.cost);
-        EXPECT_EQ(value.simCpi, from_map.simCpi);
+        engine::EvalValue out;
+        ASSERT_TRUE(loaded.lookup(key, out));
+        EXPECT_EQ(value.cost, out.cost);
+        EXPECT_EQ(value.simCpi, out.simCpi);
     }
-
-    // Absent keys miss instead of aliasing into a neighbor.
     engine::EvalValue out;
-    EXPECT_FALSE(mapped->lookup(engine::EvalKey{1, 999}, out));
+    EXPECT_FALSE(loaded.lookup(engine::EvalKey{1, 999}, out));
 
     std::remove(testCachePath);
 }
 
-TEST(EvalCacheV3, RefusesV2FilesWithClearError)
+TEST(EvalCacheV3, RefusesV2Files)
 {
     // Hand-write a v2 header (old magic, digest 7, zero entries).
     std::FILE *file = std::fopen(testCachePath, "wb");
     ASSERT_NE(file, nullptr);
-    const char v2magic[8] = {'R', 'V', 'E', 'C', 'A', 'C', 'H', '2'};
-    uint64_t digest = 7, count = 0;
-    ASSERT_EQ(std::fwrite(v2magic, 1, 8, file), 8u);
-    ASSERT_EQ(std::fwrite(&digest, 8, 1, file), 1u);
-    ASSERT_EQ(std::fwrite(&count, 8, 1, file), 1u);
+    writeHeader(file, '2', 7, 0);
     std::fclose(file);
 
-    // Heap load refuses and flags incompatibility (so callers do not
+    // The load refuses and flags incompatibility (so callers do not
     // overwrite someone else's file by accident).
     engine::EvalCache cache;
     bool compatible = true;
@@ -337,75 +350,82 @@ TEST(EvalCacheV3, RefusesV2FilesWithClearError)
     EXPECT_FALSE(compatible);
     EXPECT_EQ(cache.size(), 0u);
 
-    // The mapper refuses with an error that names the v2 format.
-    std::string error;
-    EXPECT_EQ(engine::MappedEvalFile::open(testCachePath, 7, &error),
-              nullptr);
-    EXPECT_NE(error.find("v2"), std::string::npos) << error;
-
     std::remove(testCachePath);
 }
 
-TEST(EvalCacheV3, MapperRejectsDigestMismatchAndTruncation)
+TEST(EvalCacheV3, DigestMismatchLoadsNothing)
 {
-    engine::EvalCache original = syntheticCache(16);
+    engine::EvalCache original;
+    fillSynthetic(original, 16);
     ASSERT_EQ(original.save(testCachePath, 7), 16u);
 
-    std::string error;
-    EXPECT_EQ(engine::MappedEvalFile::open(testCachePath, 8, &error),
-              nullptr);
-    EXPECT_NE(error.find("digest"), std::string::npos) << error;
-
-    // Truncate mid-records: refused rather than read out of bounds.
-    std::FILE *file = std::fopen(testCachePath, "rb+");
-    ASSERT_NE(file, nullptr);
-    std::fclose(file);
-    ASSERT_EQ(truncate(testCachePath, 24 + 5 * 32 + 8), 0);
-    EXPECT_EQ(engine::MappedEvalFile::open(testCachePath, 7, &error),
-              nullptr);
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    engine::EvalCache cache;
+    bool compatible = true;
+    EXPECT_EQ(cache.load(testCachePath, 8, &compatible), 0u);
+    EXPECT_FALSE(compatible);
+    EXPECT_EQ(cache.size(), 0u);
 
     std::remove(testCachePath);
 }
 
-TEST(EvalCacheV3, ConcurrentReadersSeeIdenticalHits)
+TEST(EvalCacheV3, FileCutMidRecordLoadsWholeRecordsBeforeCut)
 {
-    engine::EvalCache original = syntheticCache(512);
-    ASSERT_EQ(original.save(testCachePath, 3), 512u);
-    auto mapped = engine::MappedEvalFile::open(testCachePath, 3);
-    ASSERT_NE(mapped, nullptr);
-    auto expected = original.entries();
+    engine::EvalCache original;
+    fillSynthetic(original, 16);
+    ASSERT_EQ(original.save(testCachePath, 7), 16u);
+    std::vector<engine::EvalFileRecord> records =
+        readRecords(testCachePath);
+    ASSERT_EQ(records.size(), 16u);
 
-    // Two readers share one mapping (lock-free lookups) and a third
-    // opens its own; all must agree on every entry.
-    auto readAll = [&](const engine::MappedEvalFile &file,
-                       size_t &hits) {
-        for (const auto &[key, value] : expected) {
-            engine::EvalValue out;
-            if (file.lookup(key, out) && out.cost == value.cost
-                && out.simCpi == value.simCpi)
-                ++hits;
+    // Header, five whole records, then a quarter of the sixth.
+    ASSERT_EQ(truncate(testCachePath, 24 + 5 * 32 + 8), 0);
+    engine::EvalCache cache;
+    bool compatible = false;
+    EXPECT_EQ(cache.load(testCachePath, 7, &compatible), 5u);
+    EXPECT_TRUE(compatible);
+    EXPECT_EQ(cache.size(), 5u);
+    for (size_t i = 0; i < records.size(); ++i) {
+        engine::EvalValue out;
+        bool present = cache.lookup(
+            engine::EvalKey{records[i].model, records[i].instance}, out);
+        EXPECT_EQ(present, i < 5) << "record " << i;
+        if (present) {
+            EXPECT_EQ(out.cost, records[i].cost);
+            EXPECT_EQ(out.simCpi, records[i].simCpi);
         }
-    };
-    size_t hits_a = 0, hits_b = 0, hits_c = 0;
-    auto own = engine::MappedEvalFile::open(testCachePath, 3);
-    ASSERT_NE(own, nullptr);
-    std::thread a([&] { readAll(*mapped, hits_a); });
-    std::thread b([&] { readAll(*mapped, hits_b); });
-    std::thread c([&] { readAll(*own, hits_c); });
-    a.join();
-    b.join();
-    c.join();
-    EXPECT_EQ(hits_a, expected.size());
-    EXPECT_EQ(hits_b, expected.size());
-    EXPECT_EQ(hits_c, expected.size());
+    }
 
     std::remove(testCachePath);
 }
 
-// ------------------------------------------------- engine warm mapping
+TEST(EvalCacheV3, HugeClaimedCountLoadsOnlyRecordsPresent)
+{
+    // A header claiming 2^59 records followed by three: the load must
+    // stop at end of file rather than trust (or allocate for) the
+    // claim.
+    std::FILE *file = std::fopen(testCachePath, "wb");
+    ASSERT_NE(file, nullptr);
+    writeHeader(file, '3', 7, uint64_t{1} << 59);
+    for (uint64_t i = 0; i < 3; ++i) {
+        engine::EvalFileRecord record{10 + i, i, 0.5 * i, 1.0 + i};
+        ASSERT_EQ(std::fwrite(&record, sizeof(record), 1, file), 1u);
+    }
+    std::fclose(file);
 
-TEST(EngineWarmFile, ServesEvaluationsWithoutSimulating)
+    engine::EvalCache cache;
+    EXPECT_EQ(cache.load(testCachePath, 7), 3u);
+    EXPECT_EQ(cache.size(), 3u);
+    engine::EvalValue out;
+    ASSERT_TRUE(cache.lookup(engine::EvalKey{12, 2}, out));
+    EXPECT_EQ(out.cost, 1.0);
+    EXPECT_EQ(out.simCpi, 3.0);
+
+    std::remove(testCachePath);
+}
+
+// ---------------------------------------------------- engine warm start
+
+TEST(EngineWarmStart, ServesEvaluationsWithoutSimulating)
 {
     const char *path = "test_replay_warm.bin";
     core::CoreParams model = core::publicInfoA53();
@@ -423,8 +443,8 @@ TEST(EngineWarmFile, ServesEvaluationsWithoutSimulating)
 
     engine::EvalEngine consumer(ModelFamily::InOrder);
     size_t id = consumer.addInstance(prog);
-    ASSERT_EQ(consumer.mapWarmFile(path), 2u);
-    ASSERT_NE(consumer.warmFile(), nullptr);
+    ASSERT_EQ(consumer.loadCache(path), 2u);
+    EXPECT_FALSE(consumer.warmStartRefused());
 
     engine::EvalValue warm_inorder =
         consumer.evaluateModel(ModelFamily::InOrder, model, id);
@@ -441,17 +461,17 @@ TEST(EngineWarmFile, ServesEvaluationsWithoutSimulating)
 
     // ... and no simulation ran in the consumer.
     engine::EngineStats stats = consumer.stats();
-    EXPECT_EQ(stats.warmFileHits, 2u);
+    EXPECT_EQ(stats.cache.hits, 2u);
     EXPECT_EQ(stats.evaluations, 0u);
 
     std::remove(path);
 }
 
-TEST(EngineWarmFile, MissingFileWarnsAndRacesCold)
+TEST(EngineWarmStart, MissingFileRacesCold)
 {
     engine::EvalEngine engine(ModelFamily::InOrder);
-    EXPECT_EQ(engine.mapWarmFile("no_such_warm_file.bin"), 0u);
-    EXPECT_EQ(engine.warmFile(), nullptr);
+    EXPECT_EQ(engine.loadCache("no_such_warm_file.bin"), 0u);
+    EXPECT_FALSE(engine.warmStartRefused());
 
     // Evaluation still works (cold).
     size_t id = engine.addInstance(smallProgram("MC", 2000));
