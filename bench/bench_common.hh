@@ -7,6 +7,7 @@
 #define RACEVAL_BENCH_COMMON_HH
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -415,7 +416,7 @@ setTargetArg(const char *argv0, const std::string &name)
     targetExplicit() = true;
 }
 
-/** Shared preamble of both arg parsers: stamp the wall clock and
+/** Preamble of the arg parser: stamp the wall clock and
  *  record the driver name for the --json blob. */
 inline void
 beginDriver(int argc, char **argv)
@@ -429,7 +430,7 @@ beginDriver(int argc, char **argv)
     }
 }
 
-/** Shared postamble of both arg parsers: open the --trace session and
+/** Postamble of the arg parser: open the --trace session and
  *  honor RACEVAL_HEARTBEAT=<seconds> (periodic metrics snapshots to
  *  stderr and, with --json, to the sibling metrics file). */
 inline void
@@ -449,24 +450,38 @@ beginTelemetry()
 }
 
 /**
- * Parse the standard driver command line. Every bench accepts
- * --help/-h (print usage, exit 0), --smoke (tiny budgets for CI) and
- * --json <path> (machine-readable result blob); anything else is an
- * error so typos fail loudly.
+ * The one flag loop behind both parsers. Every driver accepts
+ * --help/-h (print usage, exit 0), --list, --smoke (tiny budgets for
+ * CI), --json <path> (machine-readable result blob), --trace <path>,
+ * --profile, --strategy, --target and --suite; a bad value exits 2.
  *
  * @param what one-line description printed by --help.
+ * @param gbench keep unknown arguments in argv (compacted, argc
+ *        updated) for Google Benchmark, and rewrite --smoke into a
+ *        tiny --benchmark_min_time; otherwise an unknown argument
+ *        exits 2 so typos fail loudly.
  */
 inline void
-parseDriverArgs(int argc, char **argv, const char *what)
+parseArgs(int &argc, char **argv, const char *what, bool gbench)
 {
     beginDriver(argc, argv);
+    static char min_time[] = "--benchmark_min_time=0.01s";
+    int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        auto value = [&](const char *noun) -> std::string {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: %s needs %s\n", argv[0],
+                             arg.c_str(), noun);
+                std::exit(2);
+            }
+            return argv[++i];
+        };
         if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--smoke] [--list] [--json <path>] "
                         "[--trace <path>] [--profile] "
-                        "[--strategy <name>] "
-                        "[--target <board>]"
+                        "[--strategy <name>] [--target <board>] "
+                        "[--suite <name>]%s"
                         "\n\n%s\n\n"
                         "  --smoke        reduced budgets/workloads for "
                         "CI smoke runs\n"
@@ -487,136 +502,85 @@ parseDriverArgs(int argc, char **argv, const char *what)
                         "  --suite <name>     workload suite to tune "
                         "over (default per driver; see --list)\n"
                         "  RACEVAL_BUDGET=<n> overrides the racing "
-                        "budget\n"
+                        "budget (a positive whole number)\n"
                         "  RACEVAL_HEARTBEAT=<s> periodic metrics "
                         "snapshots every <s> seconds\n"
                         "  RACEVAL_LOG=<level> log filter "
                         "(debug|info|warn|error|quiet)\n", argv[0],
-                        what);
+                        gbench ? " [--benchmark_* flags]" : "", what);
             std::exit(0);
         } else if (arg == "--list") {
             printList();
             std::exit(0);
         } else if (arg == "--smoke") {
             smokeMode() = true;
+            if (gbench)
+                argv[out++] = min_time;
         } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --json needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            jsonPath() = argv[++i];
+            jsonPath() = value("a path");
         } else if (arg == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --trace needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            tracePath() = argv[++i];
+            tracePath() = value("a path");
         } else if (arg == "--profile") {
             obs::setStepProfiling(true);
         } else if (arg == "--strategy") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --strategy needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setStrategyArg(argv[0], argv[++i]);
+            setStrategyArg(argv[0], value("a name"));
         } else if (arg == "--target") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --target needs a board\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setTargetArg(argv[0], argv[++i]);
+            setTargetArg(argv[0], value("a board"));
         } else if (arg == "--suite") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --suite needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setSuiteArg(argv[0], argv[++i]);
+            setSuiteArg(argv[0], value("a name"));
+        } else if (gbench) {
+            argv[out++] = argv[i];
         } else {
             std::fprintf(stderr, "%s: unknown argument '%s' "
                          "(try --help)\n", argv[0], arg.c_str());
             std::exit(2);
         }
     }
+    if (gbench)
+        argc = out;
     beginTelemetry();
 }
 
-/**
- * Pre-parse for the Google Benchmark drivers: consume --help, --smoke
- * and --json <path> ourselves (compacting argv) and rewrite smoke mode
- * into a tiny --benchmark_min_time, so the gbench binaries share the
- * ctest smoke/json interface. Call before benchmark::Initialize.
- */
+/** Parse a plain driver's command line (see parseArgs). */
+inline void
+parseDriverArgs(int argc, char **argv, const char *what)
+{
+    parseArgs(argc, argv, what, /*gbench=*/false);
+}
+
+/** Pre-parse a Google Benchmark driver's command line before
+ *  benchmark::Initialize (see parseArgs). */
 inline void
 parseGbenchArgs(int &argc, char **argv, const char *what)
 {
-    beginDriver(argc, argv);
-    static char min_time[] = "--benchmark_min_time=0.01s";
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            std::printf("usage: %s [--smoke] [--list] [--json <path>] "
-                        "[--trace <path>] [--profile] "
-                        "[--strategy <name>] "
-                        "[--target <board>] [--benchmark_* flags]"
-                        "\n\n%s\n", argv[0], what);
-            std::exit(0);
-        } else if (arg == "--list") {
-            printList();
-            std::exit(0);
-        } else if (arg == "--smoke") {
-            smokeMode() = true;
-            argv[out++] = min_time;
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --json needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            jsonPath() = argv[++i];
-        } else if (arg == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --trace needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            tracePath() = argv[++i];
-        } else if (arg == "--profile") {
-            obs::setStepProfiling(true);
-        } else if (arg == "--strategy") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --strategy needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setStrategyArg(argv[0], argv[++i]);
-        } else if (arg == "--target") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --target needs a board\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setTargetArg(argv[0], argv[++i]);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    beginTelemetry();
+    parseArgs(argc, argv, what, /*gbench=*/true);
 }
 
-/** Racing budget: RACEVAL_BUDGET env overrides the scaled default. */
+/**
+ * Racing budget: RACEVAL_BUDGET overrides @p full (@p smoke under
+ * --smoke). The override must be a whole positive decimal; anything
+ * else exits 2 naming the variable.
+ */
 inline uint64_t
-budgetFromEnv(uint64_t fallback = 6000)
+budgetFromEnv(uint64_t full = 6000, uint64_t smoke = 150)
 {
-    if (const char *env = std::getenv("RACEVAL_BUDGET"))
-        return std::strtoull(env, nullptr, 10);
-    return smokeScaled<uint64_t>(fallback, 150);
+    const char *env = std::getenv("RACEVAL_BUDGET");
+    if (!env)
+        return smokeScaled(full, smoke);
+    uint64_t budget = 0;
+    bool valid = *env != '\0';
+    for (const char *c = env; valid && *c; ++c) {
+        unsigned digit = static_cast<unsigned>(*c - '0');
+        valid = digit <= 9 && budget <= (UINT64_MAX - digit) / 10;
+        budget = budget * 10 + digit;
+    }
+    if (!valid || budget == 0) {
+        std::fprintf(stderr, "%s: RACEVAL_BUDGET must be a positive "
+                     "whole number of experiments, got '%s'\n",
+                     driverName().c_str(), env);
+        std::exit(2);
+    }
+    return budget;
 }
 
 /** Standard flow options for benches. RACEVAL_EVAL_CACHE=<path>

@@ -19,8 +19,8 @@
  *     slower";
  *   - bit-identity: the OoO step must produce exactly the baseline's
  *     CoreStats, and for the in-order and interval families
- *     runSegmentGeneric (every instruction through the generic body)
- *     must match the tagged fast path.
+ *     runGeneric (every instruction through the generic body) must
+ *     match the tagged fast path of run().
  *
  * Feeds the perf_step_guard ctest entry via --json: step_speedup
  * (geomean of the OoO A-B across workload classes) and
@@ -358,30 +358,10 @@ timedNsPerInst(uint64_t insts, Fn &&pass)
     return insts ? (t1 - t0) * 1e9 / static_cast<double>(insts) : 0.0;
 }
 
-template <class Model>
-core::CoreStats
-runFast(Model &model, const vm::PackedTrace &trace)
-{
-    model.beginRun();
-    vm::PackedStream stream(trace);
-    model.runSegment(stream, ~uint64_t{0});
-    return model.finishRun();
-}
-
-template <class Model>
-core::CoreStats
-runGeneric(Model &model, const vm::PackedTrace &trace)
-{
-    model.beginRun();
-    vm::PackedStream stream(trace);
-    model.runSegmentGeneric(stream, ~uint64_t{0});
-    return model.finishRun();
-}
-
 /** True for families that keep a fast/generic step split. */
 template <class Model>
 constexpr bool hasGenericSeam =
-    requires(Model &m, vm::PackedStream &s) { m.runSegmentGeneric(s, 0); };
+    requires(Model &m, const vm::PackedTrace &t) { m.runGeneric(t); };
 
 /** Per-family, per-workload measurement row. */
 struct Row
@@ -410,12 +390,12 @@ measureFamily(const core::CoreParams &params,
     core::CoreStats fast_stats, generic_stats, baseline_stats;
     for (int rep = 0; rep < reps; ++rep) {
         double ns = timedNsPerInst(
-            insts, [&] { fast_stats = runFast(model, trace); });
+            insts, [&] { fast_stats = model.run(trace); });
         if (rep == 0 || ns < row.fastNs)
             row.fastNs = ns;
         if constexpr (hasGenericSeam<Model>) {
             ns = timedNsPerInst(insts, [&] {
-                generic_stats = runGeneric(model, trace);
+                generic_stats = model.runGeneric(trace);
             });
             if (rep == 0 || ns < row.genericNs)
                 row.genericNs = ns;

@@ -128,9 +128,7 @@ main(int argc, char **argv)
     // unguided baselines.
     uint64_t smoke_budget =
         suite.role == scenario::WorkloadRole::Firmware ? 1200 : 600;
-    opts.maxExperiments = std::getenv("RACEVAL_BUDGET")
-        ? bench::budgetFromEnv()
-        : bench::smokeScaled<uint64_t>(2400, smoke_budget);
+    opts.maxExperiments = bench::budgetFromEnv(2400, smoke_budget);
     opts.seed = 20190324;
 
     // The seed model's own mean CPI error, for reference (reporting,

@@ -41,14 +41,13 @@ class MemoryHierarchy
     explicit MemoryHierarchy(const HierarchyParams &params,
                              uint64_t rng_seed = 99);
 
-    /** Deep copy (cache contents, prefetcher state, in-flight
-     *  prefetches), so a mid-run core copy resumes bit-identically. */
-    MemoryHierarchy(const MemoryHierarchy &other);
-    MemoryHierarchy &operator=(const MemoryHierarchy &other);
+    MemoryHierarchy(const MemoryHierarchy &) = delete;
+    MemoryHierarchy &operator=(const MemoryHierarchy &) = delete;
 
     /**
      * One demand access. Inline so the L1-hit fast path folds into
-     * the replay segment loops (this is the hot chain's entry point);
+     * every core family's step body (this is the hot chain's entry
+     * point);
      * the miss machinery below L1 stays out of line in accessMiss().
      *
      * @param pc the accessing instruction (trains prefetchers).

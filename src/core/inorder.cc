@@ -10,25 +10,19 @@ using isa::OpClass;
 using isa::OpKind;
 
 InOrderCore::InOrderCore(const CoreParams &params)
-    : cparams(params), mem(params.mem), bp(params.bp),
-      contention(params)
+    : ReplayCore(params), contention(params)
 {
-    cparams.validate();
     regReady.assign(isa::numIntRegs + isa::numFpRegs, 0);
     mshrFree.assign(cparams.mem.l1d.mshrs, 0);
     storeBufFree.assign(cparams.storeBufferEntries, 0);
     pendingStores.assign(cparams.storeForwardWindowFor(8),
                          PendingStore{});
-    resetState();
 }
 
 void
 InOrderCore::resetState()
 {
-    mem.reset();
-    bp.reset();
     contention.reset();
-    frontend.reset();
     std::fill(regReady.begin(), regReady.end(), 0);
     std::fill(mshrFree.begin(), mshrFree.end(), 0);
     std::fill(storeBufFree.begin(), storeBufFree.end(), 0);
@@ -75,13 +69,6 @@ InOrderCore::forwardedFromStore(uint64_t addr, unsigned size,
             return true;
     }
     return false;
-}
-
-void
-InOrderCore::beginRun()
-{
-    resetState();
-    runStats = CoreStats{};
 }
 
 /**
@@ -254,60 +241,21 @@ InOrderCore::step(const vm::PackedStream &s)
     stepSlow<Profiled>(s, kind);
 }
 
-template <bool Profiled>
 uint64_t
-InOrderCore::runSegmentImpl(vm::PackedStream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        step<Profiled>(s);
-    }
-    return consumed;
-}
-
-uint64_t
-InOrderCore::runSegment(vm::PackedStream &s, uint64_t max_insts)
-{
-    if (obs::stepProfilingEnabled())
-        return runSegmentImpl<true>(s, max_insts);
-    return runSegmentImpl<false>(s, max_insts);
-}
-
-uint64_t
-InOrderCore::runSegmentGeneric(vm::PackedStream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        stepSlow<false>(s, s.kind());
-    }
-    return consumed;
-}
-
-CoreStats
-InOrderCore::finishRun()
+InOrderCore::endCycle() const
 {
     uint64_t end = st.cycle > st.maxDone ? st.cycle : st.maxDone;
-    if (st.lastDrain > end)
-        end = st.lastDrain;
-    runStats.cycles = end;
-    runStats.branch = bp.stats();
-    runStats.l1iMisses = mem.l1i().stats().misses;
-    runStats.l1dAccesses = mem.l1d().stats().accesses;
-    runStats.l1dMisses = mem.l1d().stats().misses;
-    runStats.l2Misses = mem.l2().stats().misses;
-    runStats.dramReads = mem.dram().readCount();
-    return runStats;
+    return st.lastDrain > end ? st.lastDrain : end;
 }
 
 CoreStats
-InOrderCore::run(const vm::PackedTrace &trace)
+InOrderCore::runGeneric(const vm::PackedTrace &trace)
 {
-    beginRun();
-    vm::PackedStream stream(trace);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
+    return replay(trace, [this](const vm::PackedStream &s) {
+        stepSlow<false>(s, s.kind());
+    });
 }
+
+template class ReplayCore<InOrderCore>;
 
 } // namespace raceval::core

@@ -17,14 +17,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/predictor.hh"
-#include "cache/hierarchy.hh"
 #include "core/contention.hh"
-#include "core/frontend.hh"
-#include "core/params.hh"
-#include "core/stats.hh"
-#include "core/timing_model.hh"
-#include "vm/packed_trace.hh"
+#include "core/replay_core.hh"
 
 namespace raceval::core
 {
@@ -34,63 +28,31 @@ namespace raceval::core
  * with a store buffer, limited hit-under-miss (MSHRs) and
  * store-to-load forwarding.
  */
-class InOrderCore : public TimingModel
+class InOrderCore : public ReplayCore<InOrderCore>
 {
   public:
     explicit InOrderCore(const CoreParams &params);
 
-    using TimingModel::run;
-
-    /** Packed replay: one PackedStream pass through runSegment. */
-    CoreStats run(const vm::PackedTrace &trace) override;
-
-    /// @name Segment interface
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
     /**
-     * Replay up to @p max_insts instructions from @p stream. May be
-     * called repeatedly; a copy of the core mid-run continues from the
-     * same state.
-     *
-     * @return instructions consumed.
+     * Test seam: run() with every instruction -- including plain ALU
+     * -- routed through the generic step body, so bit-identity of the
+     * tagged fast path is directly checkable against the
+     * un-specialized accounting.
      */
-    uint64_t runSegment(vm::PackedStream &stream, uint64_t max_insts);
-
-    /**
-     * Test seam: identical contract to runSegment, but routes every
-     * instruction -- including plain ALU -- through the generic step
-     * body, so bit-identity of the tagged fast path is directly
-     * checkable against the un-specialized accounting.
-     */
-    uint64_t runSegmentGeneric(vm::PackedStream &stream,
-                               uint64_t max_insts);
-
-    /** Close accounting (drains, end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
-
-    /** @return the active configuration. */
-    const CoreParams &params() const override { return cparams; }
+    CoreStats runGeneric(const vm::PackedTrace &trace);
 
   private:
-    CoreParams cparams;
-    cache::MemoryHierarchy mem;
-    branch::BranchUnit bp;
+    friend class ReplayCore<InOrderCore>;
+
     ContentionModel contention;
 
     // --- per-run scoreboard state ---------------------------------------
-    CoreStats runStats;
-    FetchFrontEnd frontend;
-
     /**
      * Flat per-run pipeline cursors plus hoisted loop invariants (see
      * OooCore::StepState for the full rationale): the forwarding ring
      * cursor wraps on increment instead of a modulo, and the
      * CoreParams fields the per-instruction loop reads are copied in
-     * by resetState(). Plain members so a mid-run copy of the core
-     * carries it verbatim.
+     * by resetState().
      */
     struct StepState
     {
@@ -129,10 +91,11 @@ class InOrderCore : public TimingModel
     std::vector<PendingStore> pendingStores;
 
     void resetState();
+    uint64_t endCycle() const;
     void advanceSlot();
 
     /**
-     * Per-instruction accounting behind runSegment: classify once on the
+     * Per-instruction accounting behind run(): classify once on the
      * precomputed 2-bit kind tag, then either take the minimal
      * plain-ALU fast path (never touches MSHR / store-buffer /
      * pending-store / predictor machinery) or the generic body.
@@ -149,10 +112,6 @@ class InOrderCore : public TimingModel
     template <bool Profiled>
     void stepSlow(const vm::PackedStream &s, isa::OpKind kind);
 
-    template <bool Profiled>
-    uint64_t runSegmentImpl(vm::PackedStream &stream,
-                            uint64_t max_insts);
-
     /** Stall issue until at least target (resets the slot counter). */
     void stallUntil(uint64_t target);
 
@@ -161,6 +120,8 @@ class InOrderCore : public TimingModel
     bool forwardedFromStore(uint64_t addr, unsigned size,
                             uint64_t now) const;
 };
+
+extern template class ReplayCore<InOrderCore>;
 
 } // namespace raceval::core
 

@@ -10,20 +10,15 @@ using isa::OpClass;
 using isa::OpKind;
 
 IntervalCore::IntervalCore(const CoreParams &params)
-    : cparams(params), mem(params.mem), bp(params.bp)
+    : ReplayCore(params)
 {
-    cparams.validate();
     regReady.assign(isa::numIntRegs + isa::numFpRegs, 0);
     robFreeAt.assign(cparams.robEntries, 0);
-    resetState();
 }
 
 void
 IntervalCore::resetState()
 {
-    mem.reset();
-    bp.reset();
-    frontend.reset();
     std::fill(regReady.begin(), regReady.end(), 0);
     std::fill(robFreeAt.begin(), robFreeAt.end(), 0);
 
@@ -32,13 +27,6 @@ IntervalCore::resetState()
     st.dispatchWidth = cparams.dispatchWidth;
     st.mispredictPenalty = cparams.mispredictPenalty;
     st.takenBranchBubble = cparams.takenBranchBubble;
-}
-
-void
-IntervalCore::beginRun()
-{
-    resetState();
-    runStats = CoreStats{};
 }
 
 /**
@@ -189,59 +177,21 @@ IntervalCore::step(const vm::PackedStream &s)
     stepSlow<Profiled>(s, kind);
 }
 
-template <bool Profiled>
 uint64_t
-IntervalCore::runSegmentImpl(vm::PackedStream &s, uint64_t max_insts)
+IntervalCore::endCycle() const
 {
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        step<Profiled>(s);
-    }
-    return consumed;
+    return st.lastRetire > st.dispatchCycle ? st.lastRetire
+                                            : st.dispatchCycle;
 }
 
-uint64_t
-IntervalCore::runSegment(vm::PackedStream &s, uint64_t max_insts)
+CoreStats
+IntervalCore::runGeneric(const vm::PackedTrace &trace)
 {
-    if (obs::stepProfilingEnabled())
-        return runSegmentImpl<true>(s, max_insts);
-    return runSegmentImpl<false>(s, max_insts);
-}
-
-uint64_t
-IntervalCore::runSegmentGeneric(vm::PackedStream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
+    return replay(trace, [this](const vm::PackedStream &s) {
         stepSlow<false>(s, s.kind());
-    }
-    return consumed;
+    });
 }
 
-CoreStats
-IntervalCore::finishRun()
-{
-    uint64_t end = st.lastRetire > st.dispatchCycle ? st.lastRetire
-                                                    : st.dispatchCycle;
-    runStats.cycles = end;
-    runStats.branch = bp.stats();
-    runStats.l1iMisses = mem.l1i().stats().misses;
-    runStats.l1dAccesses = mem.l1d().stats().accesses;
-    runStats.l1dMisses = mem.l1d().stats().misses;
-    runStats.l2Misses = mem.l2().stats().misses;
-    runStats.dramReads = mem.dram().readCount();
-    return runStats;
-}
-
-CoreStats
-IntervalCore::run(const vm::PackedTrace &trace)
-{
-    beginRun();
-    vm::PackedStream stream(trace);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
-}
+template class ReplayCore<IntervalCore>;
 
 } // namespace raceval::core

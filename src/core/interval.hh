@@ -31,74 +31,35 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/predictor.hh"
-#include "cache/hierarchy.hh"
-#include "core/frontend.hh"
-#include "core/params.hh"
-#include "core/stats.hh"
-#include "core/timing_model.hh"
-#include "vm/packed_trace.hh"
+#include "core/replay_core.hh"
 
 namespace raceval::core
 {
 
 /** Interval-analysis core model (dispatch intervals + penalty windows). */
-class IntervalCore : public TimingModel
+class IntervalCore : public ReplayCore<IntervalCore>
 {
   public:
     explicit IntervalCore(const CoreParams &params);
 
-    using TimingModel::run;
-
-    /** Packed replay: one PackedStream pass through runSegment. */
-    CoreStats run(const vm::PackedTrace &trace) override;
-
-    /// @name Segment interface
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
     /**
-     * Replay up to @p max_insts instructions from @p stream. May be
-     * called repeatedly; a copy of the core mid-run continues from the
-     * same state.
-     *
-     * @return instructions consumed.
+     * Test seam: run() with every instruction -- including plain ALU
+     * -- routed through the generic step body, so bit-identity of the
+     * tagged fast path is directly checkable against the
+     * un-specialized accounting.
      */
-    uint64_t runSegment(vm::PackedStream &stream, uint64_t max_insts);
-
-    /**
-     * Test seam: identical contract to runSegment, but routes every
-     * instruction -- including plain ALU -- through the generic step
-     * body, so bit-identity of the tagged fast path is directly
-     * checkable against the un-specialized accounting.
-     */
-    uint64_t runSegmentGeneric(vm::PackedStream &stream,
-                               uint64_t max_insts);
-
-    /** Close accounting (end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
-
-    /** @return the active configuration. */
-    const CoreParams &params() const override { return cparams; }
+    CoreStats runGeneric(const vm::PackedTrace &trace);
 
   private:
-    CoreParams cparams;
-    cache::MemoryHierarchy mem;
-    branch::BranchUnit bp;
+    friend class ReplayCore<IntervalCore>;
 
     // --- per-run interval state -----------------------------------------
-    CoreStats runStats;
-    FetchFrontEnd frontend;
-
     /**
      * Flat per-run interval cursors plus hoisted loop invariants (see
      * OooCore::StepState for the full rationale): the ROB ring cursor
      * wraps on increment instead of the old `seq % robEntries`
      * division, and the CoreParams fields the loop reads are copied
-     * in by resetState(). Plain members so a mid-run copy of the
-     * core carries them verbatim.
+     * in by resetState().
      */
     struct StepState
     {
@@ -122,9 +83,10 @@ class IntervalCore : public TimingModel
     std::vector<uint64_t> robFreeAt;
 
     void resetState();
+    uint64_t endCycle() const;
 
     /**
-     * Per-instruction accounting behind runSegment: classify once on the
+     * Per-instruction accounting behind run(): classify once on the
      * precomputed 2-bit kind tag, then either take the minimal
      * plain-ALU fast path (no cache access, no predictor) or the
      * generic body. @tparam Profiled selects the step-cost-profiler
@@ -140,11 +102,9 @@ class IntervalCore : public TimingModel
     /** Generic body handling every kind. */
     template <bool Profiled>
     void stepSlow(const vm::PackedStream &s, isa::OpKind kind);
-
-    template <bool Profiled>
-    uint64_t runSegmentImpl(vm::PackedStream &stream,
-                            uint64_t max_insts);
 };
+
+extern template class ReplayCore<IntervalCore>;
 
 } // namespace raceval::core
 

@@ -10,9 +10,8 @@ using isa::OpClass;
 using isa::OpKind;
 
 OooCore::OooCore(const CoreParams &params)
-    : cparams(params), mem(params.mem), bp(params.bp), contention(params)
+    : ReplayCore(params), contention(params)
 {
-    cparams.validate();
     regReady.assign(isa::numIntRegs + isa::numFpRegs, 0);
     robFreeAt.assign(cparams.robEntries, 0);
     iqFreeAt.assign(cparams.iqEntries, 0);
@@ -22,16 +21,12 @@ OooCore::OooCore(const CoreParams &params)
     mshrFree.assign(cparams.mem.l1d.mshrs, 0);
     pendingStores.assign(cparams.storeForwardWindowFor(16),
                          PendingStore{});
-    resetState();
 }
 
 void
 OooCore::resetState()
 {
-    mem.reset();
-    bp.reset();
     contention.reset();
-    frontend.reset();
     std::fill(regReady.begin(), regReady.end(), 0);
     std::fill(robFreeAt.begin(), robFreeAt.end(), 0);
     std::fill(iqFreeAt.begin(), iqFreeAt.end(), 0);
@@ -69,13 +64,6 @@ OooCore::forwardedFromStore(uint64_t addr, unsigned size,
             return true;
     }
     return false;
-}
-
-void
-OooCore::beginRun()
-{
-    resetState();
-    runStats = CoreStats{};
 }
 
 template <bool Profiled>
@@ -230,50 +218,14 @@ OooCore::step(const vm::PackedStream &s)
     }
 }
 
-template <bool Profiled>
 uint64_t
-OooCore::runSegmentImpl(vm::PackedStream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        step<Profiled>(s);
-    }
-    return consumed;
-}
-
-uint64_t
-OooCore::runSegment(vm::PackedStream &s, uint64_t max_insts)
-{
-    if (obs::stepProfilingEnabled())
-        return runSegmentImpl<true>(s, max_insts);
-    return runSegmentImpl<false>(s, max_insts);
-}
-
-CoreStats
-OooCore::finishRun()
+OooCore::endCycle() const
 {
     uint64_t end = st.lastRetire > st.dispatchCycle ? st.lastRetire
                                                     : st.dispatchCycle;
-    if (st.lastDrain > end)
-        end = st.lastDrain;
-    runStats.cycles = end;
-    runStats.branch = bp.stats();
-    runStats.l1iMisses = mem.l1i().stats().misses;
-    runStats.l1dAccesses = mem.l1d().stats().accesses;
-    runStats.l1dMisses = mem.l1d().stats().misses;
-    runStats.l2Misses = mem.l2().stats().misses;
-    runStats.dramReads = mem.dram().readCount();
-    return runStats;
+    return st.lastDrain > end ? st.lastDrain : end;
 }
 
-CoreStats
-OooCore::run(const vm::PackedTrace &trace)
-{
-    beginRun();
-    vm::PackedStream stream(trace);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
-}
+template class ReplayCore<OooCore>;
 
 } // namespace raceval::core

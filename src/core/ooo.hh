@@ -18,60 +18,24 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/predictor.hh"
-#include "cache/hierarchy.hh"
 #include "core/contention.hh"
-#include "core/frontend.hh"
-#include "core/params.hh"
-#include "core/stats.hh"
-#include "core/timing_model.hh"
-#include "vm/packed_trace.hh"
+#include "core/replay_core.hh"
 
 namespace raceval::core
 {
 
 /** Out-of-order core model (ROB + IQ + LQ/SQ + FU contention). */
-class OooCore : public TimingModel
+class OooCore : public ReplayCore<OooCore>
 {
   public:
     explicit OooCore(const CoreParams &params);
 
-    using TimingModel::run;
-
-    /** Packed replay: one PackedStream pass through runSegment. */
-    CoreStats run(const vm::PackedTrace &trace) override;
-
-    /// @name Segment interface
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
-    /**
-     * Replay up to @p max_insts instructions from @p stream. May be
-     * called repeatedly; a copy of the core mid-run continues from the
-     * same state.
-     *
-     * @return instructions consumed.
-     */
-    uint64_t runSegment(vm::PackedStream &stream, uint64_t max_insts);
-
-    /** Close accounting (drains, end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
-
-    /** @return the active configuration. */
-    const CoreParams &params() const override { return cparams; }
-
   private:
-    CoreParams cparams;
-    cache::MemoryHierarchy mem;
-    branch::BranchUnit bp;
+    friend class ReplayCore<OooCore>;
+
     ContentionModel contention;
 
     // --- per-run scoreboard state ---------------------------------------
-    CoreStats runStats;
-    FetchFrontEnd frontend;
-
     /**
      * Flat per-run scoreboard cursors plus hoisted loop invariants:
      * the one POD the step() hot path reads and writes instead of
@@ -83,8 +47,6 @@ class OooCore : public TimingModel
      * identical index sequence with no division. The trailing fields
      * are copies of CoreParams/ring sizes refreshed by resetState(),
      * keeping the per-instruction loop free of cold-struct loads.
-     * Plain members with default copy, so a mid-run copy of the core
-     * carries this state verbatim.
      */
     struct StepState
     {
@@ -137,24 +99,23 @@ class OooCore : public TimingModel
     std::vector<PendingStore> pendingStores;
 
     void resetState();
+    uint64_t endCycle() const;
 
     /**
-     * Per-instruction accounting behind runSegment: one body for every
+     * Per-instruction accounting behind run(): one body for every
      * kind (the precomputed tag gates the LSQ / MSHR / predictor
      * blocks). @tparam Profiled selects the step-cost-profiler
-     * instantiation (obs/step_profiler.hh); the segment loop picks it
-     * once per segment.
+     * instantiation (obs/step_profiler.hh); run() picks it once per
+     * trace.
      */
     template <bool Profiled>
     void step(const vm::PackedStream &s);
 
-    template <bool Profiled>
-    uint64_t runSegmentImpl(vm::PackedStream &stream,
-                            uint64_t max_insts);
-
     bool forwardedFromStore(uint64_t addr, unsigned size,
                             uint64_t now) const;
 };
+
+extern template class ReplayCore<OooCore>;
 
 } // namespace raceval::core
 

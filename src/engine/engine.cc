@@ -185,7 +185,7 @@ EvalEngine::replayRun(core::ModelFamily family,
                       const core::CoreParams &model, size_t instance)
 {
     // The hot path: replay the packed SoA form through the family's
-    // segment loop.
+    // step loop.
     RV_SPAN("replay.run", static_cast<uint64_t>(instance));
     std::shared_ptr<const vm::PackedTrace> packed = bank.packed(instance);
     return core::makeTimingModel(family, model)->run(*packed);

@@ -17,7 +17,7 @@
  * Nothing is stored per non-event instruction: the pc chain is implied
  * (pc + 4 except taken branches), the same invariant the sift on-disk
  * format encodes. Replay streams these arrays through a PackedStream,
- * the zero-virtual-call view the timing-model segment loops read.
+ * the zero-virtual-call view the timing models' replay loop reads.
  */
 
 #ifndef RACEVAL_VM_PACKED_TRACE_HH
@@ -35,7 +35,7 @@
 namespace raceval::vm
 {
 
-/** Per-static-instruction replay row (everything the segment loops
+/** Per-static-instruction replay row (everything the step bodies
  *  read per instruction, packed into 8 bytes). */
 struct PackedStatic
 {
@@ -63,7 +63,7 @@ class PackedTrace
     static constexpr uint8_t flagBranch = 2;
     static constexpr uint8_t flagMem = 4;
     /** Bits [4:3] hold the precomputed isa::OpKind dispatch tag, so
-     *  the segment loops classify an instruction once with one shift
+     *  the step bodies classify an instruction once with one shift
      *  instead of re-deriving class comparisons per dynamic
      *  instruction (always consistent with flagBranch/flagMem; the
      *  static-row tag golden test locks the encoding in). */
@@ -97,7 +97,7 @@ class PackedTrace
     uint64_t instCount() const { return count; }
 
     /** @return the packed replay row of static instruction word i (the
-     *  8-byte view the segment loops read). */
+     *  8-byte view the step bodies read). */
     const PackedStatic &staticRow(size_t i) const { return statics[i]; }
 
     /** @return bytes held by the packed replay arrays (the stream the
@@ -124,7 +124,7 @@ class PackedTrace
 /**
  * Zero-virtual-call replay view over a PackedTrace.
  *
- * This is the stream the timing models' segment loops read: next()
+ * This is the stream the timing models' replay loop reads: next()
  * advances to the next dynamic instruction and the accessors expose
  * exactly the fields the models read. Accessors
  * whose flag is not set on the current instruction return unspecified
@@ -134,29 +134,7 @@ class PackedTrace
 class PackedStream
 {
   public:
-    explicit PackedStream(const PackedTrace &trace) : t(&trace)
-    {
-        rewind();
-    }
-
-    /** Restart from the beginning of the trace. */
-    void
-    rewind()
-    {
-        done = 0;
-        index = 0;
-        curIndex = 0;
-        prevMem = 0;
-        curMem = 0;
-        curNextPc = 0;
-        curTaken = false;
-        memPos = 0;
-        memWidePos = 0;
-        brPos = 0;
-        tgtPos = 0;
-        tgtWidePos = 0;
-        row = nullptr;
-    }
+    explicit PackedStream(const PackedTrace &trace) : t(&trace) {}
 
     /** Advance to the next instruction; false at end of trace. */
     bool
@@ -216,18 +194,6 @@ class PackedStream
     uint64_t memAddr() const { return curMem; }
     bool taken() const { return curTaken; }
     uint64_t nextPc() const { return curNextPc; }
-
-    /** @return static index of the current instruction. */
-    size_t staticIndex() const { return curIndex; }
-
-    /** @return the trace this stream walks. */
-    const PackedTrace &trace() const { return *t; }
-
-    /** @return instructions consumed so far. */
-    uint64_t consumed() const { return done; }
-
-    /** @return true when the trace is fully consumed. */
-    bool atEnd() const { return done >= t->count; }
 
   private:
     const PackedTrace *t;

@@ -1,13 +1,15 @@
 /** @file Packed-replay determinism tests: packed replay vs the live
- *  TraceSource convenience run for every timing family, mid-run
- *  copy/resume of the segment interface, the classify-once dispatch,
- *  and the v3 (sorted) EvalCache file format. */
+ *  TraceSource convenience run for every timing family, the
+ *  classify-once dispatch against the generic step bodies, and the v3
+ *  (sorted) EvalCache file format. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <type_traits>
 #include <unistd.h>
 
+#include "cache/hierarchy.hh"
 #include "core/inorder.hh"
 #include "core/interval.hh"
 #include "core/ooo.hh"
@@ -91,35 +93,13 @@ TEST(PackedReplay, PackedSerialMatchesSourceRun)
     }
 }
 
-// Drive the segment API directly (beginRun / runSegment / copy /
-// finishRun) at a deliberately awkward split, catching any state a
-// family's copy constructor forgets to carry.
-template <class Model>
-static void
-directSeamCheck(const core::CoreParams &params,
-                const vm::PackedTrace &trace, const char *what)
-{
-    core::CoreStats want = Model(params).run(trace);
-
-    Model first(params);
-    first.beginRun();
-    vm::PackedStream stream(trace);
-    uint64_t split = trace.instCount() / 3 + 1;
-    first.runSegment(stream, split);
-    Model second(first); // the seam handoff
-    second.runSegment(stream, ~uint64_t{0});
-    expectBitIdentical(want, second.finishRun(), what);
-}
-
-TEST(PackedReplay, DirectSeamHandoffMatchesSerial)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("CCh", 10007);
-    vm::PackedTrace trace = packProgram(prog);
-    directSeamCheck<core::InOrderCore>(params, trace, "inorder");
-    directSeamCheck<core::OooCore>(params, trace, "ooo");
-    directSeamCheck<core::IntervalCore>(params, trace, "interval");
-}
+// A replay starts and finishes inside run(), so nothing ever copies a
+// core or its cache hierarchy; the types forbid it.
+static_assert(!std::is_copy_constructible_v<core::InOrderCore>);
+static_assert(!std::is_copy_constructible_v<core::OooCore>);
+static_assert(!std::is_copy_constructible_v<core::IntervalCore>);
+static_assert(!std::is_copy_constructible_v<cache::MemoryHierarchy>);
+static_assert(!std::is_copy_assignable_v<cache::MemoryHierarchy>);
 
 // ---------------------------------------- classify-once dispatch identity
 
@@ -127,49 +107,28 @@ namespace
 {
 
 /**
- * Drive runSegmentGeneric (every instruction through the generic step
- * body, no kind-tag dispatch) and require exact agreement with the
- * tagged fast path, including across manual seam handoffs at awkward
- * splits.
+ * Replay through runGeneric (every instruction through the generic
+ * step body, no kind-tag dispatch) and require exact agreement with
+ * the tagged fast path of run(). Both replays use one core, so a
+ * reset that missed any state would show here too.
  */
 template <class Model>
 void
 fastVsGenericCheck(const core::CoreParams &params,
                    const vm::PackedTrace &trace, const std::string &what)
 {
-    core::CoreStats want = Model(params).run(trace);
-
-    {
-        Model m(params);
-        m.beginRun();
-        vm::PackedStream s(trace);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
-                           what + " generic/packed");
-    }
-    {
-        // Generic segments with mid-run copies must agree with the
-        // fast single-pass entry point.
-        Model a(params);
-        a.beginRun();
-        vm::PackedStream s(trace);
-        uint64_t split = trace.instCount() / 3 + 1;
-        a.runSegmentGeneric(s, split);
-        Model b(a); // the seam handoff
-        b.runSegmentGeneric(s, split);
-        Model c(b);
-        c.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, c.finishRun(),
-                           what + " generic copies vs fast");
-    }
+    Model model(params);
+    core::CoreStats want = model.run(trace);
+    expectBitIdentical(want, model.runGeneric(trace),
+                       what + " generic/packed");
 }
 
 } // namespace
 
 // Every family with a fast/generic split (in-order and interval; the
-// OoO family runs one step body) x seam handoffs: the minimal
-// plain-ALU fast path and the kind-tag dispatch must be pure
-// optimizations, invisible in every counter. Workloads cover the
+// OoO family runs one step body): the minimal plain-ALU fast path and
+// the kind-tag dispatch must be pure optimizations, invisible in every
+// counter. Workloads cover the
 // branchy, load-dominated and store-dominated dynamic mixes so every
 // stepSlow arm is exercised.
 TEST(StepDispatch, FastVsGenericAllStreamsAllFamilies)
