@@ -21,7 +21,7 @@
 #include "common/log.hh"
 #include "core/timing_model.hh"
 #include "engine/engine.hh"
-#include "obs/heartbeat.hh"
+#include "obs/metrics.hh"
 #include "obs/step_profiler.hh"
 #include "obs/trace.hh"
 #include "scenario/scenario.hh"
@@ -197,8 +197,7 @@ metricsPathFor(const std::string &path)
 }
 
 /**
- * Finish the driver's telemetry: stop the heartbeat (final snapshot),
- * close the --trace session (writes the Chrome trace file) and, when
+ * Finish the driver's telemetry: close the --trace session (writes the Chrome trace file) and, when
  * --json was given, drop a sibling <blob>.metrics.json with the final
  * metrics-registry snapshot. Idempotent; writeJson() calls it.
  */
@@ -210,8 +209,6 @@ finishTelemetry()
         if (!report.empty())
             std::printf("\n%s", report.c_str());
     }
-    if (obs::heartbeatRunning())
-        obs::stopHeartbeat();
     if (obs::tracingActive())
         obs::stopTracing();
     if (!jsonPath().empty())
@@ -430,23 +427,12 @@ beginDriver(int argc, char **argv)
     }
 }
 
-/** Postamble of the arg parser: open the --trace session and
- *  honor RACEVAL_HEARTBEAT=<seconds> (periodic metrics snapshots to
- *  stderr and, with --json, to the sibling metrics file). */
+/** Postamble of the arg parser: open the --trace session. */
 inline void
 beginTelemetry()
 {
     if (!tracePath().empty())
         obs::startTracing(tracePath());
-    if (const char *env = std::getenv("RACEVAL_HEARTBEAT")) {
-        obs::HeartbeatOptions hb;
-        double seconds = std::atof(env);
-        if (seconds > 0.0)
-            hb.intervalSeconds = seconds;
-        if (!jsonPath().empty())
-            hb.metricsJsonPath = metricsPathFor(jsonPath());
-        obs::startHeartbeat(hb);
-    }
 }
 
 /**
@@ -503,8 +489,6 @@ parseArgs(int &argc, char **argv, const char *what, bool gbench)
                         "over (default per driver; see --list)\n"
                         "  RACEVAL_BUDGET=<n> overrides the racing "
                         "budget (a positive whole number)\n"
-                        "  RACEVAL_HEARTBEAT=<s> periodic metrics "
-                        "snapshots every <s> seconds\n"
                         "  RACEVAL_LOG=<level> log filter "
                         "(debug|info|warn|error|quiet)\n", argv[0],
                         gbench ? " [--benchmark_* flags]" : "", what);

@@ -9,7 +9,7 @@
  *   pre-engine   every evaluation functionally re-executes the
  *                benchmark and packs a throwaway trace of it (the
  *                seed repo's hot path, through the live
- *                run(TraceSource&) convenience),
+ *                run(FunctionalCore&) convenience),
  *   engine/cold  the evaluation engine with empty caches: each
  *                benchmark is recorded once, every evaluation is a
  *                trace replay on its own pool item, batches are

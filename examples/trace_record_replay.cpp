@@ -1,12 +1,13 @@
 /**
  * @file
- * Record-once / replay-many (the paper's SIFT workflow): record a
- * benchmark's dynamic stream to a trace file with the functional
- * front-end ("on the ARM board"), then replay it into two different
- * core configurations ("on the x86 simulation servers") without
- * re-executing the program. The second half shows the same discipline
- * through the evaluation engine: an EvalEngine records each instance
- * once and serves every (model, instance) request as a cached replay.
+ * Record-once / replay-many (the paper's trace workflow, kept in
+ * memory here): execute a benchmark once with the functional front-end ("on
+ * the ARM board") and pack its dynamic stream into a vm::PackedTrace,
+ * then replay that one trace into two core configurations ("on the
+ * x86 simulation servers") without re-executing the program. The
+ * second half shows the same discipline through the evaluation
+ * engine: an EvalEngine records each instance once and serves every
+ * (model, instance) request as a cached replay.
  */
 
 #include <cstdio>
@@ -14,9 +15,9 @@
 
 #include "core/inorder.hh"
 #include "engine/engine.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
+#include "vm/packed_trace.hh"
 
 using namespace raceval;
 
@@ -27,7 +28,7 @@ main(int argc, char **argv)
     // record + both replays finish in well under a second.
     for (int i = 1; i < argc; ++i) {
         if (std::string_view(argv[i]) != "--smoke") {
-            std::printf("usage: %s [--smoke]\nRecord a SIFT trace "
+            std::printf("usage: %s [--smoke]\nRecord a packed trace "
                         "once, replay it into two core configs.\n",
                         argv[0]);
             return std::string_view(argv[i]) == "--help" ||
@@ -37,24 +38,20 @@ main(int argc, char **argv)
 
     isa::Program prog = ubench::build(*ubench::find("CCh"));
     vm::FunctionalCore recorder(prog);
-    const char *path = "cch.sift";
-    sift::writeTrace(path, prog, recorder);
-    std::printf("recorded %s\n", path);
-
-    sift::SiftReader replay(path);
-    std::printf("trace: %llu instructions, program '%s'\n",
-                static_cast<unsigned long long>(replay.instCount()),
-                replay.name().c_str());
+    const vm::PackedTrace trace = vm::PackedTrace::build(recorder);
+    std::printf("recorded '%s': %llu instructions, %zu packed bytes\n",
+                trace.name().c_str(),
+                static_cast<unsigned long long>(trace.instCount()),
+                trace.packedBytes());
 
     for (unsigned penalty : {4u, 12u}) {
         core::CoreParams p = core::publicInfoA53();
         p.mispredictPenalty = penalty;
         core::InOrderCore sim(p);
-        core::CoreStats stats = sim.run(replay);
+        core::CoreStats stats = sim.run(trace);
         std::printf("mispredict penalty %2u -> CPI %.3f\n", penalty,
                     stats.cpi());
     }
-    std::remove("cch.sift");
 
     // The same workflow, managed: the engine's TraceBank records each
     // registered instance once; evaluateModel() replays and caches.

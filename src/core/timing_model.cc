@@ -4,6 +4,7 @@
 #include "core/inorder.hh"
 #include "core/interval.hh"
 #include "core/ooo.hh"
+#include "vm/functional.hh"
 
 namespace raceval::core
 {
@@ -21,12 +22,9 @@ makeModel(const CoreParams &params)
 } // namespace
 
 CoreStats
-TimingModel::run(vm::TraceSource &source)
+TimingModel::run(vm::FunctionalCore &core)
 {
-    const isa::Program *prog = source.program();
-    RV_ASSERT(prog != nullptr, "timing model: stream '%s' has no program",
-              source.name().c_str());
-    return run(vm::PackedTrace::build(*prog, source));
+    return run(vm::PackedTrace::build(core));
 }
 
 TimingModelRegistry::TimingModelRegistry()

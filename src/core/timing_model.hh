@@ -24,7 +24,6 @@
 #include "core/params.hh"
 #include "core/stats.hh"
 #include "vm/packed_trace.hh"
-#include "vm/trace.hh"
 
 namespace raceval::core
 {
@@ -54,12 +53,12 @@ class TimingModel
     virtual CoreStats run(const vm::PackedTrace &trace) = 0;
 
     /**
-     * Simulate one full live stream from a clean machine state: packs
-     * @p source (which must expose its program) and replays the pack.
-     * A one-shot convenience; repeated evaluations of one program
-     * record once through the engine's TraceBank instead.
+     * Simulate @p core's program from a clean machine state: packs
+     * its stream and replays the pack. A one-shot convenience;
+     * repeated evaluations of one program record once through the
+     * engine's TraceBank instead.
      */
-    CoreStats run(vm::TraceSource &source);
+    CoreStats run(vm::FunctionalCore &core);
 
     /** @return the active configuration. */
     virtual const CoreParams &params() const = 0;

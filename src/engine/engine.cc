@@ -122,8 +122,7 @@ EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
     : fam(family), pool(options.threads)
 {
     // Export this engine's aggregate stats through the registry; the
-    // heartbeat reporter and the metrics blobs pull them at snapshot
-    // time. The handle unregisters in ~EvalEngine before any sampled
+    // metrics files pull them at snapshot time. The handle unregisters in ~EvalEngine before any sampled
     // member dies.
     obsSource = obs::MetricRegistry::instance().addSource(
         "engine", [this] { return stats().samples(); });

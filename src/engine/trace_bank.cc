@@ -56,7 +56,7 @@ TraceBank::record(Entry &entry)
         RV_SPAN("bank.record");
         vm::FunctionalCore live(entry.program);
         auto trace = std::make_shared<const vm::PackedTrace>(
-            vm::PackedTrace::build(entry.program, live));
+            vm::PackedTrace::build(live));
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.recordings;
         counters.recordedInsts += trace->instCount();

@@ -8,6 +8,7 @@
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
 #include "core/contention.hh"
+#include "vm/functional.hh"
 
 namespace raceval::hw
 {
@@ -31,7 +32,7 @@ struct StoreEntry
 } // namespace
 
 core::CoreStats
-DetailedInOrder::rawRun(vm::TraceSource &source)
+DetailedInOrder::rawRun(vm::FunctionalCore &source)
 {
     const core::CoreParams &cp = hparams.core;
 
@@ -60,14 +61,12 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
     std::unordered_set<uint64_t> zero_pages;
     std::unordered_set<uint64_t> init_pages;
 
-    if (const isa::Program *prog = source.program()) {
-        for (const auto &segment : prog->data) {
-            uint64_t first = segment.base >> pageShift;
-            uint64_t last = (segment.base + segment.bytes.size())
-                >> pageShift;
-            for (uint64_t page = first; page <= last; ++page)
-                init_pages.insert(page);
-        }
+    for (const auto &segment : source.program().data) {
+        uint64_t first = segment.base >> pageShift;
+        uint64_t last = (segment.base + segment.bytes.size())
+            >> pageShift;
+        for (uint64_t page = first; page <= last; ++page)
+            init_pages.insert(page);
     }
 
     core::CoreStats stats;

@@ -30,7 +30,7 @@ class DetailedInOrder : public HwMachine
         hparams.core.validate();
     }
 
-    core::CoreStats rawRun(vm::TraceSource &source) override;
+    core::CoreStats rawRun(vm::FunctionalCore &source) override;
 };
 
 } // namespace raceval::hw

@@ -26,7 +26,7 @@ class DetailedOoO : public HwMachine
         hparams.core.validate();
     }
 
-    core::CoreStats rawRun(vm::TraceSource &source) override;
+    core::CoreStats rawRun(vm::FunctionalCore &source) override;
 };
 
 } // namespace raceval::hw

@@ -3,6 +3,7 @@
 #include "common/rng.hh"
 #include "hw/detailed_inorder.hh"
 #include "hw/detailed_ooo.hh"
+#include "vm/functional.hh"
 
 namespace raceval::hw
 {
@@ -25,7 +26,7 @@ hashName(const std::string &name)
 } // namespace
 
 PerfCounters
-HwMachine::measure(vm::TraceSource &source)
+HwMachine::measure(vm::FunctionalCore &source)
 {
     core::CoreStats stats = rawRun(source);
 

@@ -22,7 +22,11 @@
 
 #include "core/params.hh"
 #include "core/stats.hh"
-#include "vm/trace.hh"
+
+namespace raceval::vm
+{
+class FunctionalCore;
+} // namespace raceval::vm
 
 namespace raceval::hw
 {
@@ -81,10 +85,10 @@ class HwMachine
     virtual ~HwMachine() = default;
 
     /** Run the trace on the detailed model, no noise. */
-    virtual core::CoreStats rawRun(vm::TraceSource &source) = 0;
+    virtual core::CoreStats rawRun(vm::FunctionalCore &source) = 0;
 
     /** Run and report noisy perf counters. */
-    PerfCounters measure(vm::TraceSource &source);
+    PerfCounters measure(vm::FunctionalCore &source);
 
     /** @return active parameters. */
     const HwParams &params() const { return hparams; }

@@ -1,6 +1,7 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
@@ -201,6 +202,31 @@ MetricRegistry::json() const
     w.endArray();
     w.endObject();
     return w.str();
+}
+
+size_t
+writeMetricsJson(const std::string &path)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.rawField("metrics", MetricRegistry::instance().json());
+    w.endObject();
+    const std::string json = w.str();
+
+    std::string tmp = path + ".tmp";
+    std::FILE *file = std::fopen(tmp.c_str(), "w");
+    if (!file) {
+        warn("cannot write metrics file '%s'", tmp.c_str());
+        return 0;
+    }
+    std::fwrite(json.data(), 1, json.size(), file);
+    std::fclose(file);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        warn("cannot rename metrics file onto '%s'", path.c_str());
+        std::remove(tmp.c_str());
+        return 0;
+    }
+    return json.size();
 }
 
 void

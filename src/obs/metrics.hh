@@ -15,7 +15,7 @@
  *     power-of-two buckets of relaxed atomics, so record() is a
  *     bit_width() plus two fetch_adds;
  *   - snapshot()/json() walk everything under the registry mutex --
- *     the heartbeat reporter's path, never the hot path's.
+ *     the metrics file's path at driver exit, never the hot path's.
  *
  * Aggregates that already keep their own counters (EngineStats,
  * CampaignStats, ...) register a *source*: a closure returning named
@@ -24,7 +24,7 @@
  * existing stats structs to change their storage.
  *
  * Building with -DRACEVAL_DISABLE_OBS compiles the RV_* macros (and
- * RV_SPAN / RV_INSTANT in obs/trace.hh) down to nothing for
+ * RV_SPAN in obs/trace.hh) down to nothing for
  * overhead-free builds; the classes stay available either way.
  */
 
@@ -191,8 +191,8 @@ class Histogram
  *
  * Metrics are created on first use and live for the process (stable
  * addresses: callers hold references across the registry mutex).
- * snapshot() and json() serve the heartbeat reporter and the bench
- * drivers' metrics blobs.
+ * snapshot() and json() serve the bench drivers' metrics files
+ * (writeMetricsJson).
  */
 class MetricRegistry
 {
@@ -296,6 +296,16 @@ class MetricRegistry
     uint64_t nextSourceId = 1;
     std::map<uint64_t, std::pair<std::string, SourceFn>> sources;
 };
+
+/**
+ * Write one registry snapshot, {"metrics": json()}, to @p path. The
+ * bench drivers call this once at exit so every --json blob gets a
+ * sibling metrics file. Write-then-rename: a concurrent reader sees
+ * the previous file or this one, never a torn file.
+ *
+ * @return bytes written (0 on I/O failure, with a warning).
+ */
+size_t writeMetricsJson(const std::string &path);
 
 /// @name Hot-path macros
 /// Each expansion caches its metric reference in a function-local

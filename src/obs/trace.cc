@@ -169,6 +169,31 @@ renderChromeTrace(std::vector<std::pair<uint32_t, TraceEvent>> events,
     return w.str();
 }
 
+/// Ring capacity bounds, in events per thread.
+/// @{
+constexpr size_t minTraceRingEvents = 16;
+constexpr size_t maxTraceRingEvents = size_t{1} << 20;
+/// @}
+
+/** Parse a RACEVAL_TRACE_RING value: digits only, within
+ *  [minTraceRingEvents, maxTraceRingEvents]. */
+bool
+parseRingCapacity(const char *text, size_t &out)
+{
+    size_t value = 0;
+    bool valid = *text != '\0';
+    for (const char *c = text; valid && *c; ++c) {
+        unsigned digit = static_cast<unsigned>(*c - '0');
+        valid = digit <= 9 && value <= maxTraceRingEvents;
+        value = value * 10 + digit;
+    }
+    if (!valid || value < minTraceRingEvents
+        || value > maxTraceRingEvents)
+        return false;
+    out = value;
+    return true;
+}
+
 } // namespace
 
 namespace detail
@@ -213,9 +238,15 @@ startTracing(const std::string &path)
     if (s.active)
         return false;
     if (const char *env = std::getenv("RACEVAL_TRACE_RING")) {
-        size_t cap = std::strtoull(env, nullptr, 10);
-        if (cap >= 16)
+        size_t cap = 0;
+        if (parseRingCapacity(env, cap)) {
             s.ringCapacity = cap;
+        } else {
+            warn("RACEVAL_TRACE_RING must be a whole number of events "
+                 "in %zu..%zu, got '%s'; keeping %zu",
+                 minTraceRingEvents, maxTraceRingEvents, env,
+                 s.ringCapacity);
+        }
     }
     for (auto &buffer : s.buffers) {
         std::lock_guard<std::mutex> buf_lock(buffer->mutex);
@@ -268,7 +299,7 @@ setTraceRingCapacity(size_t events)
 {
     TraceState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (events >= 16)
+    if (events >= minTraceRingEvents)
         s.ringCapacity = events;
 }
 

@@ -22,9 +22,9 @@
  * literals only -- the ring stores the pointer, not a copy. Current
  * spans: race.run / race.iteration / race.step, engine.batch /
  * engine.eval, replay.run, bank.record, cache.save / cache.load,
- * campaign.task / campaign.checkpoint; instants: heartbeat.tick.
+ * campaign.task / campaign.checkpoint.
  *
- * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
+ * -DRACEVAL_DISABLE_OBS compiles RV_SPAN to nothing.
  */
 
 #ifndef RACEVAL_OBS_TRACE_HH
@@ -99,10 +99,13 @@ size_t tracingEventCount();
 uint64_t tracingDropped();
 
 /**
- * Set the per-thread ring capacity in events (power of two rounded
- * up; default 1<<15 ~= 1 MiB/thread). Takes effect for rings created
- * after the call; call before startTracing(). The RACEVAL_TRACE_RING
- * environment variable overrides the default at session start.
+ * Set the per-thread ring capacity in events, used as given (default
+ * 1<<15 ~= 1.25 MiB/thread; values under 16 are ignored). Takes
+ * effect for rings created after the call; call before
+ * startTracing(). The RACEVAL_TRACE_RING environment variable
+ * overrides it at session start; it must be a whole decimal in
+ * 16..2^20, else startTracing() warns with the bad value and keeps
+ * the current capacity.
  */
 void setTraceRingCapacity(size_t events);
 
@@ -151,23 +154,6 @@ class Span
     bool hasArg = false;
 };
 
-/** Record a zero-duration instant event (e.g. heartbeat ticks). */
-inline void
-instant(const char *static_name) noexcept
-{
-    if (tracingEnabled())
-        detail::recordSpan(static_name, detail::traceNowNs(), 0, 0,
-                           false);
-}
-
-inline void
-instant(const char *static_name, uint64_t arg) noexcept
-{
-    if (tracingEnabled())
-        detail::recordSpan(static_name, detail::traceNowNs(), 0, arg,
-                           true);
-}
-
 #define RV_OBS_CONCAT2(a, b) a##b
 #define RV_OBS_CONCAT(a, b) RV_OBS_CONCAT2(a, b)
 
@@ -175,11 +161,8 @@ instant(const char *static_name, uint64_t arg) noexcept
 /** Scoped span covering the rest of the enclosing block. */
 #define RV_SPAN(...)                                                    \
     ::raceval::obs::Span RV_OBS_CONCAT(rvObsSpan, __LINE__){__VA_ARGS__}
-/** Zero-duration instant event. */
-#define RV_INSTANT(...) ::raceval::obs::instant(__VA_ARGS__)
 #else
 #define RV_SPAN(...) do { } while (0)
-#define RV_INSTANT(...) do { } while (0)
 #endif
 
 } // namespace raceval::obs

@@ -14,6 +14,7 @@
 #define RACEVAL_VM_FUNCTIONAL_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "isa/program.hh"
@@ -46,13 +47,16 @@ struct RegFile
 };
 
 /**
- * Functional core: executes a Program and implements TraceSource.
+ * Functional core: executes a Program and emits its dynamic
+ * instruction stream, the one stream every timing model consumes
+ * (packed into a vm::PackedTrace, or stepped live by the detailed
+ * hardware models).
  *
  * The program image is borrowed; it must outlive the core. reset()
  * restores registers and memory to the initial image so a single core
  * can regenerate the identical stream any number of times.
  */
-class FunctionalCore : public TraceSource
+class FunctionalCore
 {
   public:
     /**
@@ -65,10 +69,22 @@ class FunctionalCore : public TraceSource
                             isa::DecoderOptions exposed_decoder_options = {},
                             uint64_t max_insts = 1ull << 32);
 
-    bool next(DynInst &out) override;
-    void reset() override;
-    const std::string &name() const override { return prog.name; }
-    const isa::Program *program() const override { return &prog; }
+    /**
+     * Execute and emit the next instruction.
+     *
+     * @param[out] out next dynamic instruction.
+     * @return false once the program has halted or hit max_insts.
+     */
+    bool next(DynInst &out);
+
+    /** Rewind to the initial image. */
+    void reset();
+
+    /** @return the program's (benchmark's) name. */
+    const std::string &name() const { return prog.name; }
+
+    /** @return the program being executed. */
+    const isa::Program &program() const { return prog; }
 
     /** @return dynamic instructions emitted since the last reset. */
     uint64_t instsExecuted() const { return instCount; }

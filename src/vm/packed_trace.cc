@@ -1,6 +1,7 @@
 #include "vm/packed_trace.hh"
 
 #include "common/log.hh"
+#include "vm/functional.hh"
 
 namespace raceval::vm
 {
@@ -20,18 +21,19 @@ fitsNarrow(int64_t delta)
 } // namespace
 
 PackedTrace
-PackedTrace::build(const isa::Program &prog, vm::TraceSource &source)
+PackedTrace::build(FunctionalCore &core)
 {
+    const isa::Program &prog = core.program();
     PackedTrace out;
     out.prog = prog;
     out.statics.resize(prog.code.size());
     std::vector<uint8_t> seen(prog.code.size(), 0);
 
-    source.reset();
+    core.reset();
     DynInst dyn;
     uint64_t prev_mem = 0;
     uint64_t branches = 0;
-    while (source.next(dyn)) {
+    while (core.next(dyn)) {
         ++out.count;
         const isa::DecodedInst &inst = dyn.inst;
         size_t index = static_cast<size_t>((dyn.pc - prog.codeBase) / 4);

@@ -15,8 +15,7 @@
  *     taken branch (same wide fallback).
  *
  * Nothing is stored per non-event instruction: the pc chain is implied
- * (pc + 4 except taken branches), the same invariant the sift on-disk
- * format encodes. Replay streams these arrays through a PackedStream,
+ * (pc + 4 except taken branches). Replay streams these arrays through a PackedStream,
  * the zero-virtual-call view the timing models' replay loop reads.
  */
 
@@ -30,10 +29,11 @@
 
 #include "isa/decoder.hh"
 #include "isa/program.hh"
-#include "vm/trace.hh"
 
 namespace raceval::vm
 {
+
+class FunctionalCore;
 
 /** Per-static-instruction replay row (everything the step bodies
  *  read per instruction, packed into 8 bytes). */
@@ -76,19 +76,14 @@ class PackedTrace
         std::numeric_limits<int32_t>::min();
 
     /**
-     * Pack one full recording.
+     * Pack one full recording of @p core's program.
      *
-     * Drains @p source to completion (reset() first); the stream must
-     * execute @p prog (event pcs index its code). Each static row is
+     * Runs @p core to completion (reset() first). Each static row is
      * taken from the stream's own DynInst::inst, so a fault-injected
      * exposed decode survives packing. Rows of words the stream never
      * executes stay zero (IntAlu, no operands) and are never read.
-     *
-     * @param prog the program behind the stream.
-     * @param source dynamic stream to pack (e.g. a FunctionalCore).
      */
-    static PackedTrace build(const isa::Program &prog,
-                             vm::TraceSource &source);
+    static PackedTrace build(FunctionalCore &core);
 
     const std::string &name() const { return prog.name; }
     const isa::Program &program() const { return prog; }

@@ -6,31 +6,12 @@
 #include "isa/assembler.hh"
 #include "core/ooo.hh"
 #include "hw/machine.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "validate/flow.hh"
 #include "vm/functional.hh"
 #include "workload/workload.hh"
 
 using namespace raceval;
-
-TEST(Integration, SiftReplayTimesIdenticallyToLiveExecution)
-{
-    // The record/replay workflow must be timing-transparent: replaying
-    // a SIFT trace into a core model gives the same cycle count as
-    // feeding the live functional stream.
-    isa::Program prog = ubench::find("CCm")->builder(20000, true);
-    vm::FunctionalCore live(prog);
-    sift::SiftReader replay(sift::encodeTrace(prog, live));
-
-    core::InOrderCore sim(core::publicInfoA53());
-    core::CoreStats from_live = sim.run(live);
-    core::CoreStats from_trace = sim.run(replay);
-    EXPECT_EQ(from_live.cycles, from_trace.cycles);
-    EXPECT_EQ(from_live.instructions, from_trace.instructions);
-    EXPECT_EQ(from_live.branch.mispredicts,
-              from_trace.branch.mispredicts);
-}
 
 TEST(Integration, DecoderBugChangesTimingNotExecution)
 {

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the telemetry layer: metrics registry (counters,
  * gauges, histograms, pull sources), span tracing (ring buffers,
- * Chrome trace rendering, determinism), the heartbeat reporter, the
- * shared JsonWriter and the pluggable log sink.
+ * Chrome trace rendering, determinism, RACEVAL_TRACE_RING parsing),
+ * the metrics file, the shared JsonWriter and the pluggable log sink.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/params.hh"
-#include "obs/heartbeat.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/descriptive.hh"
@@ -248,7 +247,7 @@ TEST(Trace, DisabledSpansDoZeroWork)
     EXPECT_FALSE(obs::tracingEnabled());
     {
         RV_SPAN("test.disabled");
-        RV_INSTANT("test.disabled_instant");
+        RV_SPAN("test.disabled_arg", 7);
     }
     EXPECT_EQ(obs::tracingEventCount(), 0u);
 }
@@ -261,7 +260,7 @@ TEST(Trace, NestedSpansRenderWellFormedChromeTrace)
         {
             RV_SPAN("test.inner", 2);
         }
-        RV_INSTANT("test.mark", 3);
+        RV_SPAN("test.mark", 3);
     }
     std::string json = obs::traceEventsJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -325,8 +324,9 @@ TEST(Trace, RingOverflowDropsOldestAndCounts)
         TraceSession session("test_obs_ring.json");
         size_t before = obs::tracingEventCount();
         std::thread flooder([] {
-            for (int i = 0; i < 40; ++i)
-                RV_INSTANT("test.flood");
+            for (int i = 0; i < 40; ++i) {
+                RV_SPAN("test.flood");
+            }
         });
         flooder.join();
         EXPECT_EQ(obs::tracingEventCount() - before, 16u);
@@ -334,6 +334,69 @@ TEST(Trace, RingOverflowDropsOldestAndCounts)
     }
     // Restore the default for later rings.
     obs::setTraceRingCapacity(size_t{1} << 15);
+}
+
+namespace
+{
+
+/** Open a session under RACEVAL_TRACE_RING=@p ring, flood 40 spans
+ *  from a fresh thread (a new ring) and report what the rings kept.
+ *  @return the warnings logged while opening the session. */
+std::vector<std::string>
+floodUnderRingEnv(const char *ring, size_t &kept, uint64_t &dropped)
+{
+    std::vector<std::string> warnings;
+    setLogSink([&warnings](LogLevel level, const std::string &msg) {
+        if (level == LogLevel::Warn)
+            warnings.push_back(msg);
+    });
+    ::setenv("RACEVAL_TRACE_RING", ring, 1);
+    {
+        TraceSession session("test_obs_ring_env.json");
+        ::unsetenv("RACEVAL_TRACE_RING");
+        setLogSink(nullptr);
+        size_t before = obs::tracingEventCount();
+        std::thread flooder([] {
+            for (int i = 0; i < 40; ++i) {
+                RV_SPAN("test.flood_env");
+            }
+        });
+        flooder.join();
+        kept = obs::tracingEventCount() - before;
+        dropped = obs::tracingDropped();
+    }
+    obs::setTraceRingCapacity(size_t{1} << 15);
+    return warnings;
+}
+
+} // namespace
+
+TEST(Trace, RingEnvTakesOnlyWholeDecimalsInRange)
+{
+    size_t kept = 0;
+    uint64_t dropped = 0;
+    // Trailing junk is not a capacity: the default (far above 40)
+    // stays, and the warning names the bad value.
+    std::vector<std::string> warnings =
+        floodUnderRingEnv("32abc", kept, dropped);
+    EXPECT_EQ(kept, 40u);
+    EXPECT_EQ(dropped, 0u);
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("'32abc'"), std::string::npos);
+
+    for (const char *bad : {"abc", "", "15", "1048577", "+32", " 32",
+                            "99999999999999999999999"}) {
+        warnings = floodUnderRingEnv(bad, kept, dropped);
+        EXPECT_EQ(kept, 40u) << "'" << bad << "'";
+        EXPECT_EQ(warnings.size(), 1u) << "'" << bad << "'";
+    }
+
+    // A well-formed capacity applies: a 32-event ring drops the 8
+    // oldest of 40.
+    warnings = floodUnderRingEnv("32", kept, dropped);
+    EXPECT_TRUE(warnings.empty());
+    EXPECT_EQ(kept, 32u);
+    EXPECT_EQ(dropped, 8u);
 }
 
 // ---------------------------------------------------------- Determinism
@@ -384,44 +447,32 @@ TEST(Trace, RacingIsBitIdenticalWithTracingEnabled)
     EXPECT_EQ(off.iterations, on.iterations);
 }
 
-// ------------------------------------------------------------- Heartbeat
+// --------------------------------------------------------- Metrics file
 
-TEST(Heartbeat, StopTakesFinalSnapshotAndWritesMetricsFile)
-{
-    const char *path = "test_obs_heartbeat.metrics.json";
-    obs::MetricRegistry::instance().resetForTest();
-    obs::MetricRegistry::instance().counter("test.hb").add(5);
-    obs::HeartbeatOptions opts;
-    opts.intervalSeconds = 60.0; // only the final stop tick fires
-    opts.metricsJsonPath = path;
-    opts.logLine = false;
-    obs::startHeartbeat(opts);
-    EXPECT_TRUE(obs::heartbeatRunning());
-    obs::stopHeartbeat();
-    EXPECT_FALSE(obs::heartbeatRunning());
-
-    std::FILE *file = std::fopen(path, "r");
-    ASSERT_NE(file, nullptr);
-    std::string text(1 << 16, '\0');
-    size_t n = std::fread(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    text.resize(n);
-    std::remove(path);
-    EXPECT_NE(text.find("\"uptime_seconds\""), std::string::npos);
-    EXPECT_NE(text.find("\"test.hb\": 5"), std::string::npos);
-    obs::MetricRegistry::instance().resetForTest();
-}
-
-TEST(Heartbeat, WriteMetricsJsonWorksWithoutAReporter)
+TEST(Metrics, WriteMetricsJsonHoldsTheRegistry)
 {
     const char *path = "test_obs_once.metrics.json";
     obs::MetricRegistry::instance().resetForTest();
     obs::MetricRegistry::instance().gauge("test.once").set(11);
-    EXPECT_GT(obs::writeMetricsJson(path), 0u);
+    obs::MetricRegistry::instance().counter("test.once_counter").add(5);
+    size_t written = obs::writeMetricsJson(path);
+    EXPECT_GT(written, 0u);
     std::FILE *file = std::fopen(path, "r");
     ASSERT_NE(file, nullptr);
+    std::string text(written + 1, '\0');
+    size_t n = std::fread(text.data(), 1, text.size(), file);
     std::fclose(file);
+    text.resize(n);
     std::remove(path);
+    EXPECT_EQ(n, written);
+    EXPECT_EQ(text.rfind("{\"metrics\": {", 0), 0u) << text;
+    EXPECT_EQ(text.back(), '}');
+    EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
+              std::count(text.begin(), text.end(), '}'));
+    EXPECT_EQ(std::count(text.begin(), text.end(), '['),
+              std::count(text.begin(), text.end(), ']'));
+    EXPECT_NE(text.find("\"test.once\": 11"), std::string::npos);
+    EXPECT_NE(text.find("\"test.once_counter\": 5"), std::string::npos);
     obs::MetricRegistry::instance().resetForTest();
 }
 

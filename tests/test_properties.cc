@@ -1,18 +1,16 @@
 /** @file
  * Cross-cutting property tests: instruction-mix characteristics of
- * the workload stand-ins, disassembler golden strings, SIFT
- * robustness against malformed input, and cache geometry sweeps.
+ * the workload stand-ins, disassembler golden strings and cache
+ * geometry sweeps.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <initializer_list>
 #include <map>
 
 #include "cache/cache.hh"
 #include "isa/assembler.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
 #include "workload/workload.hh"
@@ -121,76 +119,6 @@ TEST(Disassembler, GoldenStrings)
     EXPECT_EQ(isa::disassemble(isa::encodeNone(isa::Opcode::Halt)),
               "halt");
     EXPECT_EQ(isa::disassemble(0xffffffffu).substr(0, 5), ".word");
-}
-
-TEST(Sift, RejectsGarbageMagic)
-{
-    std::vector<uint8_t> junk(64, 0x5a);
-    EXPECT_DEATH(
-        { sift::SiftReader reader(std::move(junk)); }, "bad magic");
-}
-
-namespace
-{
-
-/** A sift header up to (and including) @p fields, as LEB128 varints. */
-std::vector<uint8_t>
-siftHeader(std::initializer_list<uint64_t> fields)
-{
-    std::vector<uint8_t> bytes = {'R', 'V', 'S', 'I', 'F', 'T', '0', '1'};
-    for (uint64_t value : fields) {
-        while (value >= 0x80) {
-            bytes.push_back(static_cast<uint8_t>(value) | 0x80);
-            value >>= 7;
-        }
-        bytes.push_back(static_cast<uint8_t>(value));
-    }
-    bytes.resize(bytes.size() + 16, 0); // a little trailing payload
-    return bytes;
-}
-
-} // namespace
-
-// Huge length fields must be diagnosed as truncation, not wrap the
-// bounds check and escape as an allocation failure.
-TEST(Sift, RejectsHugeNameLength)
-{
-    EXPECT_DEATH(
-        { sift::SiftReader reader(siftHeader({~uint64_t{0}})); },
-        "sift: truncated name");
-}
-
-TEST(Sift, RejectsHugeCodeWordCount)
-{
-    // name_len 0, codeBase 0, code_words 2^62 (4 * 2^62 wraps to 0).
-    EXPECT_DEATH(
-        { sift::SiftReader reader(siftHeader({0, 0, uint64_t{1} << 62})); },
-        "sift: truncated code");
-}
-
-TEST(Sift, RejectsHugeDataSegmentLength)
-{
-    // name_len 0, codeBase 0, no code, one segment at 0 of 2^64-1 bytes.
-    EXPECT_DEATH(
-        {
-            sift::SiftReader reader(
-                siftHeader({0, 0, 0, 1, 0, ~uint64_t{0}}));
-        },
-        "sift: truncated data seg");
-}
-
-TEST(Sift, TolerantOfEmptyPrograms)
-{
-    isa::Assembler a("empty");
-    a.halt();
-    isa::Program prog = a.finish();
-    vm::FunctionalCore src(prog);
-    sift::SiftReader reader(sift::encodeTrace(prog, src));
-    EXPECT_EQ(reader.instCount(), 1u);
-    vm::DynInst dyn;
-    EXPECT_TRUE(reader.next(dyn));
-    EXPECT_EQ(dyn.inst.op, isa::Opcode::Halt);
-    EXPECT_FALSE(reader.next(dyn));
 }
 
 // Associativity sweep: higher associativity can only reduce conflict

@@ -1,5 +1,5 @@
 /** @file Packed-replay determinism tests: packed replay vs the live
- *  TraceSource convenience run for every timing family, the
+ *  FunctionalCore convenience run for every timing family, the
  *  classify-once dispatch against the generic step bodies, and the v3
  *  (sorted) EvalCache file format. */
 
@@ -39,7 +39,7 @@ vm::PackedTrace
 packProgram(const isa::Program &prog)
 {
     vm::FunctionalCore live(prog);
-    return vm::PackedTrace::build(prog, live);
+    return vm::PackedTrace::build(live);
 }
 
 /** Require every counter of two runs to match exactly. */
@@ -77,7 +77,7 @@ runPacked(ModelFamily family, const core::CoreParams &params,
 
 // ---------------------------------------------------------- bit-identity
 
-// The live convenience run(TraceSource&) packs its source and must
+// The live convenience run(FunctionalCore&) packs its stream and must
 // agree with a replay of a separately recorded pack.
 TEST(PackedReplay, PackedSerialMatchesSourceRun)
 {
@@ -90,6 +90,26 @@ TEST(PackedReplay, PackedSerialMatchesSourceRun)
             core::makeTimingModel(family, params)->run(live);
         expectBitIdentical(from_source, runPacked(family, params, trace),
                            core::modelFamilyName(family));
+    }
+}
+
+// The smallest program: a lone halt packs to one instruction and
+// replays through every family without touching an empty event stream.
+TEST(PackedReplay, HaltOnlyProgramPacksAndReplays)
+{
+    isa::Assembler a("empty");
+    a.halt();
+    vm::PackedTrace trace = packProgram(a.finish());
+    EXPECT_EQ(trace.instCount(), 1u);
+    vm::PackedStream stream(trace);
+    ASSERT_TRUE(stream.next());
+    EXPECT_EQ(stream.cls(), isa::OpClass::Halt);
+    EXPECT_FALSE(stream.next());
+    for (ModelFamily family : allFamilies) {
+        EXPECT_EQ(runPacked(family, core::publicInfoA53(), trace)
+                      .instructions,
+                  1u)
+            << core::modelFamilyName(family);
     }
 }
 

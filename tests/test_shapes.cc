@@ -103,7 +103,7 @@ TEST(Shape, AbstractModelFasterThanDetailed)
     core::InOrderCore sim(core::publicInfoA53());
     auto board = hw::makeMachine(hw::secretA53(), false);
     vm::FunctionalCore s1(prog), s2(prog);
-    vm::PackedTrace trace = vm::PackedTrace::build(prog, s1);
+    vm::PackedTrace trace = vm::PackedTrace::build(s1);
     double t_abs = time_run([&] { sim.run(trace); });
     double t_det = time_run([&] { board->rawRun(s2); });
     // Modest slack rather than a strict inequality: on a loaded
